@@ -9,7 +9,8 @@ and diagnostics go to stderr.
 
 Exit codes: 0 success (and, for checking commands, every claim holds);
 3 the run completed but found counterexamples; 2 usage error;
-1 internal or resource error (the message names the exceeded budget).
+1 internal or resource error (the message names the exceeded budget)
+or a result store that is damaged, foreign or unreachable.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .exactdist import (
 )
 from .numtheory import DivisorLattice, compute_forcing_set, factorize, landau_g
 from .sampler import estimate_collision, estimate_p
-from .store import ResultStore, frac_str, verification_record
+from .store import ResultStore, StoreError, frac_str, verification_record
 
 __all__ = ["CommandConfig", "main", "parse_range", "run"]
 
@@ -155,9 +156,10 @@ def _build_parser() -> _Parser:
     ver.add_argument("claim", choices=("thm11", "thm12", "ineq"),
                      help="which claim to check")
 
-    tail = add("tail-max", "largest m with P(order >= m) above a threshold")
+    tail = add("tail-max",
+               "most likely order among m >= n^(1+eps); ties go to the smallest m")
     tail.add_argument("--eps", type=Fraction, required=True,
-                      help="threshold, e.g. 1/10")
+                      help="positive rational exponent offset, e.g. 1/10")
 
     samp = add("sample", "Monte Carlo estimates from random cycle types",
                threads=True)
@@ -543,6 +545,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return run(config)
     except BudgetExceededError as exc:
         print(f"resource limit exceeded: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except StoreError as exc:
+        print(f"store error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

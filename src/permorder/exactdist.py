@@ -2,14 +2,15 @@
 
 The order of a permutation is the lcm of its cycle lengths.  Everything
 here is exact: counts are Python ints and probabilities are Fractions
-with denominator n!.  Floats appear in one place only — a slack-guarded
-pre-filter inside the mode scan — and that filter can only discard
-values whose permutation count is strictly below an already-known one.
+with denominator n!; no approximate arithmetic appears anywhere in
+this module.
 
 Two independent exact routes are provided on purpose: a DP over the
 divisor lattice of m (`order_counts_on_lattice`) and inclusion-exclusion
 over prime-exponent drops (`count_order_exactly_mobius`).  They share no
 intermediate results, so agreement between them is a real cross-check.
+The full pmf comes from a third route, a partition scan (`full_pmf`),
+and `mode` is read off that exact pmf.
 """
 
 from __future__ import annotations
@@ -26,13 +27,6 @@ from .numtheory import DivisorLattice, FactoredInt, factorize, primes_up_to
 DEFAULT_MAX_N = 100
 DEFAULT_MAX_SUPPORT = 5_000_000
 BRUTE_FORCE_LIMIT = 9
-
-# Relative slack for the float pre-filter in mode().  The float scan sums
-# positive terms only, so its accumulated relative error stays below ~1e-7
-# even with hundreds of millions of addends; 1e-6 leaves a wide margin.
-# The guard is two-sided, so a borderline candidate merely costs one extra
-# exact DP — it can never change the answer.
-_FLOAT_SLACK = 1e-6
 
 
 class BudgetExceededError(Exception):
@@ -224,18 +218,54 @@ def support(n: int, max_support: int = DEFAULT_MAX_SUPPORT) -> list[int]:
     return list(_support_values(n, max_support))
 
 
-@lru_cache(maxsize=None)
+def _small_cycle_limit(n: int) -> int:
+    # Timed over n = 2..100, the scan below runs fastest with t near n/6:
+    # a larger t widens the table rows (lcm(1..t) gains divisors), a
+    # smaller one leaves more partitions to walk.  Under n = 24 every t
+    # takes well below a millisecond.
+    return max(3, n // 6)
+
+
+def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
+    """Row r maps l to #{pi in S_r : all cycles of pi are <= t, ord(pi) = l}.
+
+    Same cycle peeling as `count_lengths_divide`: the cycle through the
+    largest label has some length j <= t and (r-1)(r-2)...(r-j+1)
+    fillings, and the other r-j labels come from row r-j.
+    """
+    lcm = math.lcm
+    rows = [{1: 1}]
+    for r in range(1, n + 1):
+        row: dict[int, int] = {}
+        ff = 1
+        for j in range(1, min(t, r) + 1):
+            if j > 1:
+                ff *= r - j + 1
+            for ell, c in rows[r - j].items():
+                key = lcm(ell, j)
+                row[key] = row.get(key, 0) + ff * c
+        rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=1)
 def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
     entries = dict.fromkeys(_support_values(n, max_support), 0)
+    t = _small_cycle_limit(n)
+    small = _small_cycle_table(n, t)
     f_n = math.factorial(n)
     lcm = math.lcm
     factorial = math.factorial
 
-    # Walk all partitions of n by descending part size.  `denom` carries
-    # prod(j^c * c!) over the multiplicities chosen so far, so a finished
-    # partition contributes the multinomial n!/denom to its lcm's count.
+    # Meet in the middle.  Walk only the cycles longer than t, as partitions
+    # by descending part size; `denom` carries prod(j^c * c!) over the
+    # multiplicities chosen so far.  Then n!/(denom * rem!) counts the ways
+    # to lay out those cycles and leave `rem` labels over, and the
+    # small-cycle table row `rem` says how many permutations of the
+    # leftover labels, all cycles <= t, have each lcm l.  Together they
+    # make permutations of order lcm(value, l).
     def scan(rem: int, maxpart: int, denom: int, value: int) -> None:
-        for j in range(min(maxpart, rem), 1, -1):
+        for j in range(min(maxpart, rem), t, -1):
             vj = lcm(value, j)
             weight = denom
             c = 0
@@ -243,8 +273,9 @@ def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
                 c += 1
                 weight *= j * c
                 scan(rem - j * c, j - 1, weight, vj)
-        # whatever remains is fixed points: 1^c * c! = rem!
-        entries[value] += f_n // (denom * factorial(rem))
+        ways = f_n // (denom * factorial(rem))
+        for ell, c in small[rem].items():
+            entries[lcm(value, ell)] += ways * c
 
     scan(n, n, 1, 1)
     missing = [m for m, c in entries.items() if c == 0]
@@ -263,8 +294,8 @@ def full_pmf(
 ) -> OrderPmf:
     """The complete exact pmf of the order, as counts out of n!.
 
-    Computed by a single scan over all partitions of n (independent of
-    the per-m DP routes), so the result doubles as a global cross-check:
+    Computed by one partition scan with a small-cycle table (independent
+    of the per-m DP routes), so the result doubles as a global cross-check:
     the counts must sum to n! and the nonzero keys must equal support(n).
     """
     if n < 1:
@@ -274,86 +305,15 @@ def full_pmf(
     return OrderPmf(n=n, entries=dict(_full_counts(n, max_support)))
 
 
-def _float_order_estimates(n: int, keys: tuple[int, ...]) -> dict[int, float]:
-    """Float estimates of every order count at once, by a partition scan.
-
-    Same walk as `_full_counts` but in float arithmetic.  Every term is
-    positive, so each estimate equals the true count up to a relative
-    error far below _FLOAT_SLACK.  Caller must ensure float(n!) is finite.
-    """
-    est = dict.fromkeys(keys, 0.0)
-    f_n = float(math.factorial(n))
-    lcm = math.lcm
-    inv_fact = [1.0 / math.factorial(r) for r in range(n + 1)]
-
-    def scan(rem: int, maxpart: int, denom: float, value: int) -> None:
-        for j in range(min(maxpart, rem), 1, -1):
-            vj = lcm(value, j)
-            weight = denom
-            c = 0
-            while j * (c + 1) <= rem:
-                c += 1
-                weight *= j * c
-                scan(rem - j * c, j - 1, weight, vj)
-        est[value] += f_n / denom * inv_fact[rem]
-
-    scan(n, n, 1.0, 1)
-    return est
-
-
 def mode(
     n: int,
     max_n: int = DEFAULT_MAX_N,
     max_support: int = DEFAULT_MAX_SUPPORT,
 ) -> ModeResult:
-    """All most-likely orders, without exact arithmetic on the whole pmf.
-
-    Strategy: a single float partition scan estimates every count at
-    once; only candidates within a two-sided relative slack of the float
-    maximum can possibly attain the true maximum, and in practice that
-    leaves one or two.  Survivors are settled by the exact lattice DP
-    (with the cheap divides-count upper bound as a secondary skip), and
-    the exact count at m = n is always computed as an anchor.  Pruning
-    is strictly conservative, so ties are never lost.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise BudgetExceededError(f"n={n} exceeds max_n={max_n}")
-
-    candidates = _support_values(n, max_support)
-    seed = order_counts_on_lattice(n, factorize(n)).count_for(n)
-    exact_counts: dict[int, int] = {n: seed}
-
-    if n <= 170:  # float(n!) is finite up to exactly 170!
-        est = _float_order_estimates(n, candidates)
-        best_est = max(est.values())
-        cut = best_est * (1 - _FLOAT_SLACK)
-        survivors = [
-            (est[m], m)
-            for m in candidates
-            if m != n and est[m] * (1 + _FLOAT_SLACK) >= cut
-        ]
-    else:
-        # float(n!) overflows: no estimates, every candidate survives and
-        # the integer bound below does all the pruning.
-        survivors = [(math.inf, m) for m in candidates if m != n]
-
-    incumbent = seed
-    # Most promising first, so the incumbent is strong early and the
-    # integer upper bound can skip the rest.
-    survivors.sort(key=lambda t: (-t[0], t[1]))
-    for _, m in survivors:
-        f = factorize(m)
-        if count_lengths_divide(n, f) < incumbent:
-            continue
-        c = order_counts_on_lattice(n, f).count_for(m)
-        exact_counts[m] = c
-        if c > incumbent:
-            incumbent = c
-
-    best = max(exact_counts.values())
-    argmax = tuple(sorted(m for m, c in exact_counts.items() if c == best))
+    """All most-likely orders: every argmax of the exact pmf, ties kept."""
+    entries = full_pmf(n, max_n=max_n, max_support=max_support).entries
+    best = max(entries.values())
+    argmax = tuple(sorted(m for m, c in entries.items() if c == best))
     return ModeResult(
         n=n, argmax=argmax, max_count=best, max_prob=Fraction(best, math.factorial(n))
     )

@@ -192,9 +192,7 @@ def lcm_range(k: int) -> int:
     """lcm(1..k); the empty range (k <= 1) gives 1."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if k <= 1:
-        return 1
-    return math.lcm(lcm_range(k - 1), k)
+    return math.lcm(*range(1, k + 1))
 
 
 @dataclass(frozen=True)

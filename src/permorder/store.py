@@ -10,13 +10,14 @@ Crash tolerance is deliberately minimal: a write interrupted mid-line
 leaves a torn final record, which ``load`` (and ``append``) repair by
 truncating the file back to the last complete record and logging a
 warning.  Damage anywhere earlier in a log is not self-healing and
-raises instead.  Scan state is checkpointed through an atomic
-write-then-rename so a checkpoint is either the old state or the new
-one, never a mix.
+raises ``StoreError`` instead, as do foreign schemas and failed file
+I/O.  Scan state is checkpointed through an atomic write-then-rename so
+a checkpoint is either the old state or the new one, never a mix.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -37,6 +38,7 @@ __all__ = [
     "ResultRecord",
     "ResultStore",
     "SchemaVersionError",
+    "StoreError",
     "estimate_store_record",
     "forcing_record",
     "frac_str",
@@ -65,7 +67,11 @@ KINDS = (
 _CHECKPOINT_NAME = "checkpoint.json"
 
 
-class SchemaVersionError(Exception):
+class StoreError(ValueError):
+    """The on-disk store is damaged, foreign or cannot be read or written."""
+
+
+class SchemaVersionError(StoreError):
     """A stored record or checkpoint declares an unsupported schema."""
 
 
@@ -198,9 +204,21 @@ def residual_record(
     return ResultRecord(SCHEMA_VERSION, "eta_residual", n, payload)
 
 
+def _os_errors_as_store_errors(method):
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except OSError as exc:
+            raise StoreError(f"{self.root}: {exc}") from exc
+
+    return wrapper
+
+
 class ResultStore:
     """Filesystem-backed store rooted at one directory, one log per kind."""
 
+    @_os_errors_as_store_errors
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -242,7 +260,7 @@ class ResultStore:
             try:
                 json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(
+                raise StoreError(
                     f"{path.name}: corrupt record before the final line; "
                     "refusing to repair automatically"
                 ) from exc
@@ -251,6 +269,7 @@ class ResultStore:
                 fh.truncate(keep)
         return lines
 
+    @_os_errors_as_store_errors
     def append(self, record: ResultRecord) -> None:
         if record.schema_version != SCHEMA_VERSION:
             raise SchemaVersionError(
@@ -262,6 +281,7 @@ class ResultStore:
         with path.open("ab") as fh:
             fh.write(serialize_record(record).encode("utf-8") + b"\n")
 
+    @_os_errors_as_store_errors
     def load(
         self, kind: str, lo: int | None = None, hi: int | None = None
     ) -> list[ResultRecord]:
@@ -272,9 +292,14 @@ class ResultStore:
         path = self._log_path(kind)
         records = []
         for line in self._repair_torn_tail(path):
-            record = parse_record_line(line)
+            try:
+                record = parse_record_line(line)
+            except StoreError:
+                raise
+            except (KeyError, TypeError, ValueError) as exc:
+                raise StoreError(f"{path.name}: malformed record {line[:60]!r}") from exc
             if record.kind != kind:
-                raise ValueError(
+                raise StoreError(
                     f"{path.name}: found record of kind {record.kind!r}"
                 )
             if lo is not None and record.n < lo:
@@ -285,6 +310,7 @@ class ResultStore:
         records.sort(key=lambda r: r.n)
         return records
 
+    @_os_errors_as_store_errors
     def checkpoint(self, state: Mapping[str, Any]) -> None:
         """Atomically persist scan state (write temp file, then rename)."""
         obj = {"schema_version": SCHEMA_VERSION, "state": _jsonify(state)}
@@ -300,6 +326,7 @@ class ResultStore:
             os.unlink(tmp_name)
             raise
 
+    @_os_errors_as_store_errors
     def resume(self) -> dict[str, Any] | None:
         """The last checkpointed state, or None if absent or unreadable."""
         path = self.root / _CHECKPOINT_NAME

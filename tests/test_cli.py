@@ -401,6 +401,38 @@ class TestScanCounterexamples:
         assert not env_dir.exists() or ResultStore(env_dir).load("verification") == []
         assert ResultStore(flag_dir).load("verification") != []
 
+    @pytest.mark.parametrize("bad_line", ["{broken", "{}"])
+    def test_mid_log_corruption_is_store_error(self, capsys, tmp_path, bad_line):
+        run_cli(capsys, "scan-counterexamples", "--n", "2..4",
+                "--cache-dir", str(tmp_path))
+        log = tmp_path / "verification.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        log.write_text(bad_line + "\n" + "".join(lines[1:]))
+        code, out, err = run_cli(capsys, "scan-counterexamples", "--n", "2..5",
+                                 "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("store error:")
+        assert out == ""
+
+    def test_foreign_schema_is_store_error(self, capsys, tmp_path):
+        run_cli(capsys, "scan-counterexamples", "--n", "2..4",
+                "--cache-dir", str(tmp_path))
+        log = tmp_path / "verification.jsonl"
+        log.write_text(log.read_text().replace('"schema_version":1', '"schema_version":7'))
+        code, out, err = run_cli(capsys, "scan-counterexamples", "--n", "2..5",
+                                 "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("store error:")
+        assert "schema_version 7" in err
+
+    def test_unusable_cache_dir_is_store_error(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        code, _, err = run_cli(capsys, "scan-counterexamples", "--n", "2..3",
+                               "--cache-dir", str(not_a_dir))
+        assert code == 1
+        assert err.startswith("store error:")
+
     def test_threads_do_not_change_output(self, capsys, tmp_path):
         _, out1, _ = run_cli(
             capsys, "scan-counterexamples", "--n", "2..7",

@@ -11,9 +11,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from permorder import exactdist
 from permorder.exactdist import (
+    DEFAULT_MAX_N,
     BudgetExceededError,
     brute_force_joint,
     brute_force_pmf,
@@ -29,6 +33,31 @@ from permorder.exactdist import (
     tail_max,
 )
 from permorder.numtheory import compute_forcing_set, factorize, landau_g
+
+ORACLE_MAX_N = 44  # helpers.pmf_by_partitions stays fast up to here
+# Where the kernel's small-cycle limit t changes value, and where n <= t so
+# the partition walk has no cycles longer than t to place.
+RULE_CHANGES = [
+    n for n in range(2, DEFAULT_MAX_N + 1)
+    if exactdist._small_cycle_limit(n) != exactdist._small_cycle_limit(n - 1)
+]
+ALL_SMALL = [n for n in range(1, ORACLE_MAX_N + 1) if n <= exactdist._small_cycle_limit(n)]
+
+
+def oracle_argmax(n: int) -> tuple[int, ...]:
+    pmf = helpers.pmf_by_partitions(n)
+    best = max(pmf.values())
+    return tuple(sorted(m for m, c in pmf.items() if c == best))
+
+
+def counts_with_limit(n: int, t: int) -> dict[int, int]:
+    """full_pmf(n) with the small-cycle limit forced to t."""
+    exactdist._full_counts.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactdist, "_small_cycle_limit", lambda _: t)
+        entries = full_pmf(n).entries
+    exactdist._full_counts.cache_clear()
+    return entries
 
 
 class TestCountLengthsDivide:
@@ -176,6 +205,45 @@ class TestFullPmf:
             full_pmf(101)
         with pytest.raises(BudgetExceededError):
             full_pmf(30, max_support=5)
+
+
+class TestSmallCycleKernel:
+    @given(st.integers(min_value=1, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_partition_oracle(self, n):
+        assert full_pmf(n).entries == helpers.pmf_by_partitions(n)
+        assert mode(n).argmax == oracle_argmax(n)
+
+    @pytest.mark.parametrize(
+        "n",
+        sorted({*ALL_SMALL, *(m for c in RULE_CHANGES if c <= ORACLE_MAX_N for m in (c - 1, c))}),
+    )
+    def test_rule_boundaries_match_partition_oracle(self, n):
+        assert full_pmf(n).entries == helpers.pmf_by_partitions(n)
+        assert mode(n).argmax == oracle_argmax(n)
+
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=32))
+    @settings(max_examples=60, deadline=None)
+    def test_any_limit_matches_partition_oracle(self, n, t):
+        assert counts_with_limit(n, t) == helpers.pmf_by_partitions(n)
+
+    @pytest.mark.parametrize("n", [c for c in RULE_CHANGES if c > ORACLE_MAX_N])
+    def test_rule_boundaries_beyond_oracle(self, n):
+        # too many partitions for the oracle: the counts must not depend on
+        # which side of the change the limit is taken from, and sum to n!
+        before = counts_with_limit(n, exactdist._small_cycle_limit(n - 1))
+        assert before == full_pmf(n).entries
+        assert sum(before.values()) == math.factorial(n)
+
+    def test_table_rows_match_partition_oracle(self):
+        for t in range(1, 8):
+            table = exactdist._small_cycle_table(12, t)
+            for r in range(13):
+                expected: dict[int, int] = {}
+                for parts in helpers.partitions(r, t):
+                    ell = helpers.lcm_of(parts)
+                    expected[ell] = expected.get(ell, 0) + helpers.cycle_type_count(r, parts)
+                assert table[r] == expected
 
 
 class TestBruteForce:

@@ -167,6 +167,10 @@ class TestLcmRange:
         for k in range(1, 40):
             assert lcm_range(k + 1) % lcm_range(k) == 0
 
+    def test_large_k(self):
+        # a recursive definition would exceed the interpreter's stack here
+        assert lcm_range(5000) == math.lcm(*range(1, 5001))
+
 
 class TestForcingSet:
     def test_frozen_examples(self):
