@@ -30,16 +30,12 @@ from .numtheory import (
 CLAIM_NEAR_MAX_FORM = "thm_1_1_form"
 CLAIM_MODE_LOCATION = "thm_1_2_mode"
 CLAIM_FINAL_INEQUALITY = "final_inequality"
-CLAIM_PREDICTION_RESIDUAL = "eta_residual"
-CLAIM_REFINED_GAP = "refined_gap"
 
 CLAIM_TAGS = frozenset(
     (
         CLAIM_NEAR_MAX_FORM,
         CLAIM_MODE_LOCATION,
         CLAIM_FINAL_INEQUALITY,
-        CLAIM_PREDICTION_RESIDUAL,
-        CLAIM_REFINED_GAP,
     )
 )
 

@@ -53,7 +53,14 @@ from .exactdist import (
 )
 from .numtheory import DivisorLattice, compute_forcing_set, factorize, landau_g
 from .sampler import estimate_collision, estimate_p
-from .store import ResultStore, StoreError, frac_str, verification_record
+from .store import (
+    ResultRecord,
+    ResultStore,
+    StoreError,
+    frac_str,
+    jsonify,
+    verification_record,
+)
 
 __all__ = ["CommandConfig", "main", "parse_range", "run"]
 
@@ -212,18 +219,6 @@ def _default_cache_dir() -> Path:
 # output
 
 
-def _json_value(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
-        return value
-    if isinstance(value, int):
-        return value if -(2**53) < value < 2**53 else str(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    raise TypeError(f"cannot emit value of type {type(value).__name__}")
-
-
 def _csv_cell(value: Any) -> str:
     if isinstance(value, Fraction):
         return frac_str(value)
@@ -249,10 +244,7 @@ def _table_cell(value: Any) -> str:
 def _emit(config: CommandConfig, rows: list[dict[str, Any]]) -> None:
     out = sys.stdout
     if config.fmt == "json":
-        doc = {
-            "command": config.subcommand,
-            "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
-        }
+        doc = jsonify({"command": config.subcommand, "rows": rows})
         print(json.dumps(doc, separators=(",", ":")), file=out)
         return
     if not rows:
@@ -453,33 +445,39 @@ def _scan_one(n: int):
     return verify_mode_location(n)
 
 
-def _cmd_scan(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    lo, hi = config.n_range
-    store = ResultStore(config.cache_dir or _default_cache_dir())
-    cached = {
-        rec.n: rec
-        for rec in store.load("verification", lo, hi)
-        if rec.payload["claim"] == CLAIM_MODE_LOCATION
-    }
-    todo = [n for n in config.ns() if n not in cached]
-    print(f"scan {lo}..{hi}: {len(cached)} cached, {len(todo)} to compute",
-          file=sys.stderr)
-
-    rows_by_n: dict[int, dict[str, Any]] = {}
-    for n, rec in cached.items():
+def _cached_row(rec: ResultRecord) -> dict[str, Any] | None:
+    """The output row of a stored mode-location verdict, None for other claims."""
+    try:
         payload = rec.payload
-        rows_by_n[n] = {
-            "n": n,
-            "holds": payload["holds"],
+        if payload["claim"] != CLAIM_MODE_LOCATION:
+            return None
+        holds = payload["holds"]
+        if not isinstance(holds, bool):
+            raise TypeError(f"holds is {holds!r}")
+        return {
+            "n": rec.n,
+            "holds": holds,
             "expected": payload["details"]["expected"],
             "witnesses": [int(w) for w in payload["witnesses"]],
         }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"malformed cached verdict for n={rec.n} ({exc!r})") from exc
+
+
+def _cmd_scan(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
+    lo, hi = config.n_range
+    store = ResultStore(config.cache_dir or _default_cache_dir())
+    rows_by_n: dict[int, dict[str, Any]] = {}
+    for rec in store.load(lo, hi):
+        row = _cached_row(rec)
+        if row is not None:
+            rows_by_n[rec.n] = row
+    todo = [n for n in config.ns() if n not in rows_by_n]
+    print(f"scan {lo}..{hi}: {len(rows_by_n)} cached, {len(todo)} to compute",
+          file=sys.stderr)
 
     def record(report) -> None:
         store.append(verification_record(report))
-        store.checkpoint(
-            {"command": "scan-counterexamples", "lo": lo, "hi": hi, "done": report.n}
-        )
         verdict = (
             "holds"
             if report.holds

@@ -16,8 +16,6 @@ __all__ = [
     "DivisorLattice",
     "ForcingSet",
     "factorize",
-    "divisors_of",
-    "divisors_up_to",
     "tau",
     "sigma",
     "omega",
@@ -161,30 +159,6 @@ class DivisorLattice:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DivisorLattice(m={self.m.value}, tau={len(self.divisors)})"
-
-
-def divisors_of(f: FactoredInt) -> DivisorLattice:
-    return DivisorLattice(f)
-
-
-def divisors_up_to(factors: tuple[tuple[int, int], ...], bound: int) -> list[int]:
-    """Sorted divisors of the factored number that are <= bound.
-
-    Safe to filter while building: every divisor's partial products are
-    themselves divisors no larger than the final value.
-    """
-    divs = [1] if bound >= 1 else []
-    for p, e in factors:
-        pk = 1
-        more = []
-        for _ in range(e):
-            pk *= p
-            if pk > bound:
-                break
-            more.extend(d * pk for d in divs if d * pk <= bound)
-        divs.extend(more)
-    divs.sort()
-    return divs
 
 
 @lru_cache(maxsize=None)

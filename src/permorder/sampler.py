@@ -130,19 +130,6 @@ def sample_cycle_type(n: int, rng: random.Random) -> CycleType:
     return CycleType(n=n, lengths=tuple(_sample_lengths(n, rng)))
 
 
-def order_of(ct: CycleType) -> int:
-    return math.lcm(*ct.lengths)
-
-
-def cycles_of(ct: CycleType) -> int:
-    return len(ct.lengths)
-
-
-def is_restricted(ct: CycleType, allowed) -> bool:
-    allowed_set = frozenset(allowed)
-    return all(j in allowed_set for j in ct.lengths)
-
-
 def _mix64(x: int) -> int:
     """splitmix64 finalizer: a fixed avalanche for substream seed derivation."""
     x &= _MASK

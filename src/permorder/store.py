@@ -1,18 +1,21 @@
-"""Append-only on-disk store for computed results.
+"""Append-only on-disk log of claim verdicts.
 
-Each record kind gets its own line-delimited log file under a root
-directory.  Records are self-describing JSON objects carrying a schema
-version, and integers that may exceed the double-precision range
-(orders, permutation counts, RNG seeds) are stored as decimal strings so
-every value survives a round trip byte for byte.
+The store keeps one line-delimited log, ``verification.jsonl``, under a
+root directory; ``scan-counterexamples`` reads it to skip every n it has
+already decided, so the log itself is the scan's resume state.  Records
+are self-describing JSON objects carrying a kind tag and a schema
+version, and integers that may exceed the double-precision range are
+stored as decimal strings so every value survives a round trip byte for
+byte.
 
 Crash tolerance is deliberately minimal: a write interrupted mid-line
-leaves a torn final record, which ``load`` (and ``append``) repair by
-truncating the file back to the last complete record and logging a
-warning.  Damage anywhere earlier in a log is not self-healing and
-raises ``StoreError`` instead, as do foreign schemas and failed file
-I/O.  Scan state is checkpointed through an atomic write-then-rename so
-a checkpoint is either the old state or the new one, never a mix.
+leaves a torn final record, which ``load`` repairs by truncating the file
+back to the last complete record and logging a warning.  ``append`` reads
+only the log's last byte and runs the same repair when that byte does not
+end a line, so each append costs the same however long the log is.
+Damage anywhere earlier in a log is not self-healing and makes ``load``
+raise ``StoreError``, as do foreign schemas, foreign kinds and failed
+file I/O.
 """
 
 from __future__ import annotations
@@ -25,28 +28,21 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .asymptotics import VerificationReport
-from .exactdist import ModeResult, OrderPmf
-from .numtheory import ForcingSet
-from .sampler import EstimateRecord
 
 __all__ = [
-    "KINDS",
+    "KIND",
     "SCHEMA_VERSION",
     "ResultRecord",
     "ResultStore",
     "SchemaVersionError",
     "StoreError",
-    "estimate_store_record",
-    "forcing_record",
     "frac_str",
-    "mode_record",
+    "jsonify",
     "parse_frac",
     "parse_record_line",
-    "pmf_records",
-    "residual_record",
     "serialize_record",
     "verification_record",
 ]
@@ -55,14 +51,7 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "pmf_entry",
-    "mode",
-    "kn",
-    "verification",
-    "estimate",
-    "eta_residual",
-)
+KIND = "verification"
 
 _CHECKPOINT_NAME = "checkpoint.json"
 
@@ -87,7 +76,7 @@ def parse_frac(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One stored result: a kind tag, the size ``n`` it concerns, a payload."""
+    """One stored verdict: the kind tag, the size ``n`` it concerns, a payload."""
 
     schema_version: int
     kind: str
@@ -95,7 +84,7 @@ class ResultRecord:
     payload: Mapping[str, Any]
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind != KIND:
             raise ValueError(f"unknown record kind {self.kind!r}")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
@@ -124,50 +113,31 @@ def parse_record_line(line: str) -> ResultRecord:
     )
 
 
-def _jsonify(value: Any) -> Any:
-    """Map arbitrary result values onto JSON-safe ones.
+def jsonify(value: Any) -> Any:
+    """Map result values onto JSON-safe ones, for the store and the CLI.
 
     Fractions become ``p/q`` strings; integers outside the exact-double
-    range become decimal strings; containers convert recursively.
+    range become decimal strings; dicts, lists and tuples convert
+    recursively.  Concrete container types, not the ``Mapping`` and
+    ``Sequence`` ABCs, keep large CLI documents cheap to encode.
     """
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
-        return value
-    if isinstance(value, int):
-        return value if -(2**53) < value < 2**53 else str(value)
-    if isinstance(value, Mapping):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, Sequence):
-        return [_jsonify(v) for v in value]
-    raise TypeError(f"cannot store value of type {type(value).__name__}")
 
+    # The recursion stays inside one call, so bench/tracing.py, which wraps
+    # module-level functions, records one span per document, not per value.
+    def convert(value: Any) -> Any:
+        if isinstance(value, (str, float, bool)) or value is None:
+            return value
+        if isinstance(value, int):
+            return value if -(2**53) < value < 2**53 else str(value)
+        if isinstance(value, Fraction):
+            return frac_str(value)
+        if isinstance(value, dict):
+            return {str(k): convert(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [convert(v) for v in value]
+        raise TypeError(f"cannot store value of type {type(value).__name__}")
 
-def mode_record(result: ModeResult) -> ResultRecord:
-    payload = {
-        "argmax": [str(m) for m in result.argmax],
-        "max_count": str(result.max_count),
-        "max_prob": frac_str(result.max_prob),
-    }
-    return ResultRecord(SCHEMA_VERSION, "mode", result.n, payload)
-
-
-def pmf_records(pmf: OrderPmf) -> list[ResultRecord]:
-    """One record per order value, counts as exact decimal strings."""
-    return [
-        ResultRecord(
-            SCHEMA_VERSION,
-            "pmf_entry",
-            pmf.n,
-            {"m": str(m), "count": str(count)},
-        )
-        for m, count in sorted(pmf.entries.items())
-    ]
-
-
-def forcing_record(forcing: ForcingSet) -> ResultRecord:
-    payload = {"members": list(forcing.members), "max_k": forcing.max_k}
-    return ResultRecord(SCHEMA_VERSION, "kn", forcing.n, payload)
+    return convert(value)
 
 
 def verification_record(report: VerificationReport) -> ResultRecord:
@@ -175,33 +145,9 @@ def verification_record(report: VerificationReport) -> ResultRecord:
         "claim": report.claim,
         "holds": report.holds,
         "witnesses": [str(w) for w in report.witnesses],
-        "details": _jsonify(report.details) if report.details is not None else None,
+        "details": jsonify(report.details),
     }
-    return ResultRecord(SCHEMA_VERSION, "verification", report.n, payload)
-
-
-def estimate_store_record(estimate: EstimateRecord) -> ResultRecord:
-    payload = {
-        "target": estimate.target,
-        "trials": estimate.trials,
-        "hits": estimate.hits,
-        "estimate": estimate.estimate,
-        "std_err": estimate.std_err,
-        "seed": str(estimate.seed),
-    }
-    return ResultRecord(SCHEMA_VERSION, "estimate", estimate.n, payload)
-
-
-def residual_record(
-    n: int, k: int, exact: Fraction, predicted: Fraction
-) -> ResultRecord:
-    payload = {
-        "k": k,
-        "exact": frac_str(exact),
-        "predicted": frac_str(predicted),
-        "residual": frac_str(abs(exact - predicted)),
-    }
-    return ResultRecord(SCHEMA_VERSION, "eta_residual", n, payload)
+    return ResultRecord(SCHEMA_VERSION, KIND, report.n, payload)
 
 
 def _os_errors_as_store_errors(method):
@@ -216,25 +162,22 @@ def _os_errors_as_store_errors(method):
 
 
 class ResultStore:
-    """Filesystem-backed store rooted at one directory, one log per kind."""
+    """Filesystem-backed verdict log rooted at one directory."""
 
     @_os_errors_as_store_errors
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._log = self.root / f"{KIND}.jsonl"
 
-    def _log_path(self, kind: str) -> Path:
-        if kind not in KINDS:
-            raise ValueError(f"unknown record kind {kind!r}")
-        return self.root / f"{kind}.jsonl"
-
-    def _repair_torn_tail(self, path: Path) -> list[str]:
-        """Return the complete lines of a log, truncating any torn tail.
+    def _repair_torn_tail(self) -> list[str]:
+        """Return the complete lines of the log, truncating any torn tail.
 
         A log is damaged-but-recoverable only in its final line (a write
         that died partway).  Unparseable lines earlier in the file mean
         external damage and raise.
         """
+        path = self._log
         if not path.exists():
             return []
         raw = path.read_bytes()
@@ -269,39 +212,52 @@ class ResultStore:
                 fh.truncate(keep)
         return lines
 
+    def _ends_cleanly(self) -> bool:
+        """True if the log is absent, empty, or its last byte ends a line."""
+        try:
+            with self._log.open("rb") as fh:
+                end = fh.seek(0, os.SEEK_END)
+                if end == 0:
+                    return True
+                fh.seek(end - 1)
+                return fh.read(1) == b"\n"
+        except FileNotFoundError:
+            return True
+
     @_os_errors_as_store_errors
     def append(self, record: ResultRecord) -> None:
+        """Add one record at the end of the log.
+
+        Only the log's last byte is read; a log that does not end in a
+        newline was left torn by a crashed writer and is repaired first.
+        """
         if record.schema_version != SCHEMA_VERSION:
             raise SchemaVersionError(
                 f"cannot append schema_version {record.schema_version}; "
                 f"this build writes {SCHEMA_VERSION}"
             )
-        path = self._log_path(record.kind)
-        self._repair_torn_tail(path)
-        with path.open("ab") as fh:
+        if not self._ends_cleanly():
+            self._repair_torn_tail()
+        with self._log.open("ab") as fh:
             fh.write(serialize_record(record).encode("utf-8") + b"\n")
 
     @_os_errors_as_store_errors
-    def load(
-        self, kind: str, lo: int | None = None, hi: int | None = None
-    ) -> list[ResultRecord]:
-        """All records of ``kind`` with ``lo <= n <= hi``, sorted by ``n``.
+    def load(self, lo: int | None = None, hi: int | None = None) -> list[ResultRecord]:
+        """All records with ``lo <= n <= hi``, sorted by ``n``.
 
         The sort is stable: records sharing an ``n`` keep write order.
         """
-        path = self._log_path(kind)
+        name = self._log.name
         records = []
-        for line in self._repair_torn_tail(path):
+        for line in self._repair_torn_tail():
             try:
                 record = parse_record_line(line)
             except StoreError:
                 raise
             except (KeyError, TypeError, ValueError) as exc:
-                raise StoreError(f"{path.name}: malformed record {line[:60]!r}") from exc
-            if record.kind != kind:
                 raise StoreError(
-                    f"{path.name}: found record of kind {record.kind!r}"
-                )
+                    f"{name}: malformed record {line[:60]!r} ({exc})"
+                ) from exc
             if lo is not None and record.n < lo:
                 continue
             if hi is not None and record.n > hi:
@@ -310,10 +266,12 @@ class ResultStore:
         records.sort(key=lambda r: r.n)
         return records
 
+    # Nothing in the package writes or reads a checkpoint; the two methods
+    # stay only because bench/tracing.py wraps them by name.
     @_os_errors_as_store_errors
     def checkpoint(self, state: Mapping[str, Any]) -> None:
         """Atomically persist scan state (write temp file, then rename)."""
-        obj = {"schema_version": SCHEMA_VERSION, "state": _jsonify(state)}
+        obj = {"schema_version": SCHEMA_VERSION, "state": jsonify(state)}
         text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:

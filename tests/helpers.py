@@ -14,6 +14,17 @@ from functools import lru_cache
 from itertools import permutations
 
 
+# Result-store lines byte for byte as the first release of the store wrote
+# them (``scan-counterexamples --n 5..6``); existing cache dirs hold these.
+STORED_VERDICT_LINES = (
+    '{"kind":"verification","n":5,"payload":{"claim":"thm_1_2_mode",'
+    '"details":{"expected":4,"max_count":30},"holds":true,"witnesses":[]},'
+    '"schema_version":1}',
+    '{"kind":"verification","n":6,"payload":{"claim":"thm_1_2_mode",'
+    '"details":{"expected":4,"max_count":240},"holds":false,"witnesses":["6"]},'
+    '"schema_version":1}',
+)
+
 def partitions(n: int, max_part: int | None = None):
     """Yield every partition of n as a descending tuple of parts."""
     if max_part is None:

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from permorder.asymptotics import prediction_residual
 from permorder.cli import CommandConfig, main, parse_range
 from permorder.store import ResultStore
@@ -346,10 +347,10 @@ class TestScanCounterexamples:
         assert by_n[2]["holds"] is False  # tie at n=2
         assert by_n[5]["holds"] is True
         assert by_n[5]["expected"] == 4
-        # records and checkpoint persisted
+        # records persisted; the verdict log is the only resume state
         store = ResultStore(tmp_path)
-        assert len(store.load("verification")) == 7
-        assert store.resume() is not None
+        assert len(store.load()) == 7
+        assert not (tmp_path / "checkpoint.json").exists()
 
     def test_resume_skips_cached(self, capsys, tmp_path):
         run_cli(capsys, "scan-counterexamples", "--n", "2..5",
@@ -365,7 +366,7 @@ class TestScanCounterexamples:
         assert [r["n"] for r in rows] == list(range(2, 9))
         # no duplicate records were appended for the cached n
         store = ResultStore(tmp_path)
-        assert len(store.load("verification", 2, 5)) == 4
+        assert len(store.load(2, 5)) == 4
 
     def test_rerun_fully_cached(self, capsys, tmp_path):
         run_cli(capsys, "scan-counterexamples", "--n", "2..6",
@@ -390,7 +391,7 @@ class TestScanCounterexamples:
         env_dir = tmp_path / "env"
         monkeypatch.setenv("PERMORDER_CACHE_DIR", str(env_dir))
         run_cli(capsys, "scan-counterexamples", "--n", "3..4")
-        assert ResultStore(env_dir).load("verification") != []
+        assert ResultStore(env_dir).load() != []
 
     def test_flag_overrides_env_var(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
@@ -398,8 +399,8 @@ class TestScanCounterexamples:
         monkeypatch.setenv("PERMORDER_CACHE_DIR", str(env_dir))
         run_cli(capsys, "scan-counterexamples", "--n", "3..4",
                 "--cache-dir", str(flag_dir))
-        assert not env_dir.exists() or ResultStore(env_dir).load("verification") == []
-        assert ResultStore(flag_dir).load("verification") != []
+        assert not env_dir.exists() or ResultStore(env_dir).load() == []
+        assert ResultStore(flag_dir).load() != []
 
     @pytest.mark.parametrize("bad_line", ["{broken", "{}"])
     def test_mid_log_corruption_is_store_error(self, capsys, tmp_path, bad_line):
@@ -412,6 +413,37 @@ class TestScanCounterexamples:
                                  "--cache-dir", str(tmp_path))
         assert code == 1
         assert err.startswith("store error:")
+        assert out == ""
+
+    def test_stored_lines_count_as_cached(self, capsys, tmp_path):
+        lines = "\n".join(helpers.STORED_VERDICT_LINES) + "\n"
+        (tmp_path / "verification.jsonl").write_text(lines)
+        code, out, err = run_cli(capsys, "scan-counterexamples", "--n", "5..6",
+                                 "--cache-dir", str(tmp_path), "--format", "json")
+        assert code == 3
+        assert "2 cached, 0 to compute" in err
+        assert json_rows(out) == [
+            {"n": 5, "holds": True, "expected": 4, "witnesses": []},
+            {"n": 6, "holds": False, "expected": 4, "witnesses": [6]},
+        ]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "{}",
+            '{"claim":"thm_1_2_mode","details":null,"holds":true,"witnesses":[]}',
+            '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":"yes","witnesses":[]}',
+        ],
+        ids=["empty", "null-details", "string-holds"],
+    )
+    def test_malformed_cached_verdict_is_store_error(self, capsys, tmp_path, payload):
+        line = f'{{"kind":"verification","n":5,"payload":{payload},"schema_version":1}}'
+        (tmp_path / "verification.jsonl").write_text(line + "\n")
+        code, out, err = run_cli(capsys, "scan-counterexamples", "--n", "5",
+                                 "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("store error:")
+        assert "Traceback" not in err
         assert out == ""
 
     def test_foreign_schema_is_store_error(self, capsys, tmp_path):

@@ -19,8 +19,6 @@ from permorder.numtheory import (
     FactoredInt,
     ForcingSet,
     compute_forcing_set,
-    divisors_of,
-    divisors_up_to,
     factorize,
     landau_g,
     lcm_range,
@@ -110,13 +108,13 @@ class TestArithmeticFunctions:
 class TestDivisorLattice:
     def test_divisors_sorted_and_complete(self):
         for m in (1, 2, 12, 97, 360, 2520):
-            lat = divisors_of(factorize(m))
+            lat = DivisorLattice(factorize(m))
             assert list(lat.divisors) == direct_divisors(m)
             assert len(lat.divisors) == tau(factorize(m))
 
     def test_lcm_index_matches_arithmetic_lcm(self):
         for m in (1, 4, 12, 30, 360, 97, 2**5 * 3**3):
-            lat = divisors_of(factorize(m))
+            lat = DivisorLattice(factorize(m))
             divs = lat.divisors
             table = lat.lcm_index
             one = lat.index_of(1)
@@ -130,17 +128,11 @@ class TestDivisorLattice:
     @given(st.integers(min_value=1, max_value=5000))
     @settings(max_examples=50, deadline=None)
     def test_lcm_closure_property(self, m):
-        lat = divisors_of(factorize(m))
+        lat = DivisorLattice(factorize(m))
         divs = lat.divisors
         for i in range(0, len(divs), 3):
             for j in range(0, len(divs), 3):
                 assert divs[lat.lcm_index[i][j]] == math.lcm(divs[i], divs[j])
-
-    def test_divisors_up_to(self):
-        f = factorize(360)
-        assert divisors_up_to(f.factors, 10) == [1, 2, 3, 4, 5, 6, 8, 9, 10]
-        assert divisors_up_to(f.factors, 360) == direct_divisors(360)
-        assert divisors_up_to(factorize(1).factors, 5) == [1]
 
 
 class TestLcmRange:

@@ -20,12 +20,9 @@ from permorder.sampler import (
     EstimateRecord,
     JointPredicate,
     chi_square_vs_exact,
-    cycles_of,
     estimate_collision,
     estimate_p,
-    is_restricted,
     joint_frequency,
-    order_of,
     sample_cycle_type,
 )
 
@@ -48,18 +45,6 @@ class TestCycleType:
             CycleType(n=2, lengths=(0, 2))
         with pytest.raises(ValueError):
             CycleType(n=1, lengths=())
-
-    def test_accessors(self):
-        ct = CycleType(n=6, lengths=(1, 2, 3))
-        assert order_of(ct) == 6
-        assert cycles_of(ct) == 3
-        assert order_of(CycleType(n=4, lengths=(2, 2))) == 2
-        assert cycles_of(CycleType(n=5, lengths=(5,))) == 1
-
-    def test_is_restricted(self):
-        assert is_restricted(CycleType(n=4, lengths=(2, 2)), {2})
-        assert not is_restricted(CycleType(n=3, lengths=(1, 2)), {2})
-        assert is_restricted(CycleType(n=5, lengths=(1, 4)), range(1, 6))
 
 
 class TestSampleCycleType:

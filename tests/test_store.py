@@ -10,30 +10,31 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import helpers
+from permorder import store as store_module
 from permorder.asymptotics import verify_mode_location
-from permorder.exactdist import OrderPmf, mode
-from permorder.numtheory import compute_forcing_set
-from permorder.sampler import EstimateRecord
 from permorder.store import (
-    KINDS,
+    KIND,
     SCHEMA_VERSION,
     ResultRecord,
     ResultStore,
     SchemaVersionError,
-    estimate_store_record,
-    forcing_record,
+    StoreError,
     frac_str,
-    mode_record,
+    jsonify,
     parse_frac,
     parse_record_line,
-    pmf_records,
-    residual_record,
     serialize_record,
     verification_record,
 )
+
+def verdict(n: int, tag: str = "") -> ResultRecord:
+    payload = {"claim": "thm_1_2_mode", "holds": True, "witnesses": [], "tag": tag}
+    return ResultRecord(SCHEMA_VERSION, KIND, n, payload)
 
 
 class TestFracStrings:
@@ -48,62 +49,51 @@ class TestFracStrings:
             assert parse_frac(frac_str(fr)) == fr
 
 
+class TestJsonify:
+    def test_64bit_values_become_decimal_strings(self):
+        assert jsonify(2**63 + 11) == str(2**63 + 11)
+        assert jsonify(-(2**53)) == str(-(2**53))
+        assert jsonify(2**53 - 1) == 2**53 - 1
+        assert jsonify(True) is True
+        assert jsonify(None) is None
+        assert jsonify(0.5) == 0.5
+        assert jsonify({3: (Fraction(1, 3), [2**64])}) == {"3": ["1/3", [str(2**64)]]}
+        with pytest.raises(TypeError):
+            jsonify(object())
+
+    def test_huge_counts_survive_round_trip(self):
+        count = math.factorial(100) - 1
+        rec = ResultRecord(
+            SCHEMA_VERSION, KIND, 100, jsonify({"claim": "c", "count": count})
+        )
+        line = serialize_record(rec)
+        parsed = parse_record_line(line)
+        assert int(parsed.payload["count"]) == count
+        assert serialize_record(parsed) == line
+
+
 class TestRecordShape:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             ResultRecord(schema_version=SCHEMA_VERSION, kind="bogus", n=3, payload={})
 
-    def test_kind_registry(self):
-        assert KINDS == (
-            "pmf_entry",
-            "mode",
-            "kn",
-            "verification",
-            "estimate",
-            "eta_residual",
-        )
-
     def test_serialization_is_canonical(self):
         rec = ResultRecord(
             schema_version=SCHEMA_VERSION,
-            kind="mode",
+            kind=KIND,
             n=5,
             payload={"b": "2", "a": "1"},
         )
         line = serialize_record(rec)
         assert line == serialize_record(parse_record_line(line))
         assert "\n" not in line
-        assert json.loads(line)["kind"] == "mode"
+        assert json.loads(line)["kind"] == "verification"
         # keys sorted, no whitespace
         assert line.index('"a"') < line.index('"b"')
         assert ": " not in line and ", " not in line
 
 
 class TestBuilders:
-    def test_mode_record_round_trip(self):
-        rec = mode_record(mode(5))
-        assert rec.kind == "mode"
-        assert rec.n == 5
-        assert rec.payload["argmax"] == ["4"]
-        assert rec.payload["max_prob"] == "1/4"
-        line = serialize_record(rec)
-        assert serialize_record(parse_record_line(line)) == line
-
-    def test_pmf_records_preserve_huge_counts(self):
-        fake = OrderPmf(n=100, entries={1: 1, 2: math.factorial(100) - 1})
-        recs = pmf_records(fake)
-        assert [r.payload["m"] for r in recs] == ["1", "2"]
-        assert int(recs[1].payload["count"]) == math.factorial(100) - 1
-        for r in recs:
-            line = serialize_record(r)
-            assert serialize_record(parse_record_line(line)) == line
-
-    def test_forcing_record(self):
-        rec = forcing_record(compute_forcing_set(10))
-        assert rec.kind == "kn"
-        assert rec.payload["members"] == [0, 1, 2]
-        assert rec.payload["max_k"] == 2
-
     def test_verification_record(self):
         rec = verification_record(verify_mode_location(6))
         assert rec.kind == "verification"
@@ -111,94 +101,87 @@ class TestBuilders:
         assert rec.payload["holds"] is False
         assert rec.payload["witnesses"] == ["6"]
 
-    def test_estimate_record_keeps_64bit_seed(self):
-        est = EstimateRecord(
-            target="p(n=3, m=2)",
-            n=3,
-            trials=10,
-            hits=5,
-            estimate=0.5,
-            std_err=math.sqrt(0.025),
-            seed=2**63 + 11,
-        )
-        rec = estimate_store_record(est)
-        assert rec.kind == "estimate"
-        assert rec.payload["seed"] == str(2**63 + 11)
-        line = serialize_record(rec)
-        parsed = parse_record_line(line)
-        assert int(parsed.payload["seed"]) == 2**63 + 11
-
-    def test_residual_record(self):
-        rec = residual_record(
-            n=12, k=2, exact=Fraction(1, 10), predicted=Fraction(11, 100)
-        )
-        assert rec.kind == "eta_residual"
-        assert rec.payload["k"] == 2
-        assert rec.payload["residual"] == "1/100"
-
 
 class TestStoreRoundTrip:
     def test_append_then_load(self, tmp_path):
         store = ResultStore(tmp_path)
-        rec = mode_record(mode(5))
+        rec = verification_record(verify_mode_location(5))
         store.append(rec)
-        loaded = store.load("mode", 5, 5)
+        loaded = store.load(5, 5)
         assert loaded == [rec]
         assert serialize_record(loaded[0]) == serialize_record(rec)
 
     def test_load_empty_store(self, tmp_path):
-        assert ResultStore(tmp_path).load("mode") == []
+        assert ResultStore(tmp_path).load() == []
+
+    def test_append_creates_or_extends_empty_log(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.append(verdict(3))
+        path = tmp_path / "verification.jsonl"
+        assert path.read_text() == serialize_record(verdict(3)) + "\n"
+        path.write_bytes(b"")
+        store.append(verdict(4))
+        assert store.load() == [verdict(4)]
+
+    def test_loads_stored_lines(self, tmp_path):
+        lines = helpers.STORED_VERDICT_LINES
+        (tmp_path / "verification.jsonl").write_text("\n".join(lines) + "\n")
+        loaded = ResultStore(tmp_path).load()
+        assert [serialize_record(r) for r in loaded] == list(lines)
+        assert loaded[1] == verification_record(verify_mode_location(6))
 
     def test_range_filter_and_sort(self, tmp_path):
         store = ResultStore(tmp_path)
-        r5a = ResultRecord(SCHEMA_VERSION, "kn", 5, {"members": [0], "tag": "a"})
-        r3 = ResultRecord(SCHEMA_VERSION, "kn", 3, {"members": [0], "tag": "b"})
-        r5b = ResultRecord(SCHEMA_VERSION, "kn", 5, {"members": [0], "tag": "c"})
-        r9 = ResultRecord(SCHEMA_VERSION, "kn", 9, {"members": [0], "tag": "d"})
+        r5a, r3 = verdict(5, "a"), verdict(3, "b")
+        r5b, r9 = verdict(5, "c"), verdict(9, "d")
         for r in (r5a, r3, r5b, r9):
             store.append(r)
-        assert store.load("kn") == [r3, r5a, r5b, r9]  # sorted, stable at n=5
-        assert store.load("kn", 4, 8) == [r5a, r5b]
+        assert store.load() == [r3, r5a, r5b, r9]  # sorted, stable at n=5
+        assert store.load(4, 8) == [r5a, r5b]
 
-    def test_kind_isolation(self, tmp_path):
+    def test_foreign_kind_on_load_is_store_error(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.append(mode_record(mode(4)))
-        store.append(forcing_record(compute_forcing_set(4)))
-        assert len(store.load("mode")) == 1
-        assert len(store.load("kn")) == 1
+        store.append(verdict(4))
+        line = json.dumps(
+            {"kind": "kn", "n": 4, "payload": {}, "schema_version": SCHEMA_VERSION}
+        )
+        with (tmp_path / "verification.jsonl").open("a") as fh:
+            fh.write(line + "\n" + serialize_record(verdict(5)) + "\n")
+        with pytest.raises(StoreError, match="'kn'"):
+            store.load()
 
     def test_rejects_foreign_schema_on_append(self, tmp_path):
         store = ResultStore(tmp_path)
-        rec = ResultRecord(schema_version=SCHEMA_VERSION + 1, kind="kn", n=2, payload={})
+        rec = ResultRecord(SCHEMA_VERSION + 1, KIND, 2, payload={})
         with pytest.raises(SchemaVersionError):
             store.append(rec)
 
     def test_rejects_foreign_schema_on_load(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.append(forcing_record(compute_forcing_set(5)))
-        path = tmp_path / "kn.jsonl"
+        store.append(verdict(5))
+        path = tmp_path / "verification.jsonl"
         line = json.dumps(
-            {"kind": "kn", "n": 6, "payload": {}, "schema_version": SCHEMA_VERSION + 1}
+            {"kind": KIND, "n": 6, "payload": {}, "schema_version": SCHEMA_VERSION + 1}
         )
         with path.open("a") as fh:
             fh.write(line + "\n")
         with pytest.raises(SchemaVersionError):
-            store.load("kn")
+            store.load()
 
 
 class TestTornWriteRecovery:
     def _fill(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.append(forcing_record(compute_forcing_set(3)))
-        store.append(forcing_record(compute_forcing_set(4)))
-        return store, tmp_path / "kn.jsonl"
+        store.append(verdict(3))
+        store.append(verdict(4))
+        return store, tmp_path / "verification.jsonl"
 
     def test_truncated_tail_without_newline(self, tmp_path, caplog):
         store, path = self._fill(tmp_path)
         good = path.read_bytes()
-        path.write_bytes(good + b'{"kind": "kn", "n": 99')
+        path.write_bytes(good + b'{"kind": "verification", "n": 99')
         with caplog.at_level("WARNING"):
-            records = store.load("kn")
+            records = store.load()
         assert [r.n for r in records] == [3, 4]
         assert "discard" in caplog.text.lower() or "torn" in caplog.text.lower()
         assert path.read_bytes() == good  # file repaired
@@ -208,7 +191,7 @@ class TestTornWriteRecovery:
         good = path.read_bytes()
         path.write_bytes(good + b"not json at all\n")
         with caplog.at_level("WARNING"):
-            records = store.load("kn")
+            records = store.load()
         assert [r.n for r in records] == [3, 4]
         assert path.read_bytes() == good
 
@@ -216,8 +199,8 @@ class TestTornWriteRecovery:
         store, path = self._fill(tmp_path)
         good = path.read_bytes()
         path.write_bytes(good + b'{"kind"')
-        store.append(forcing_record(compute_forcing_set(5)))
-        records = store.load("kn")
+        store.append(verdict(5))
+        records = store.load()
         assert [r.n for r in records] == [3, 4, 5]
 
     def test_mid_log_corruption_is_fatal(self, tmp_path):
@@ -225,7 +208,56 @@ class TestTornWriteRecovery:
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(lines[0] + b"garbage\n" + lines[1])
         with pytest.raises(ValueError):
-            store.load("kn")
+            store.load()
+
+
+class TestAppendCost:
+    def test_append_reads_only_the_last_byte(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        for n in range(3000):
+            store.append(verdict(n))
+        path = tmp_path / "verification.jsonl"
+        before = path.read_bytes()
+
+        bytes_read = []
+        real_open = Path.open
+
+        class CountingReader:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def read(self, size=-1):
+                data = self._fh.read(size)
+                bytes_read.append(len(data))
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+        def counting_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return fh if "a" in mode or "w" in mode else CountingReader(fh)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("append reread the log")
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        monkeypatch.setattr(Path, "read_bytes", forbidden)
+        monkeypatch.setattr(Path, "read_text", forbidden)
+        monkeypatch.setattr(store_module.json, "loads", forbidden)
+        store.append(verdict(3000))
+        monkeypatch.undo()
+
+        assert sum(bytes_read) <= 1
+        added = serialize_record(verdict(3000)).encode() + b"\n"
+        assert path.read_bytes() == before + added
+        assert len(store.load()) == 3001
 
 
 class TestCheckpoint:
