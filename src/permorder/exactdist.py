@@ -112,30 +112,54 @@ def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
     tracks the running lcm of the cycle lengths used so far, encoded as a
     position in the divisor lattice of f.value.  Appending a j-cycle moves
     state d to lcm(d, j), which is a table lookup.
+
+    Let w[nu][d] count permutations of [nu] with cycle lengths dividing
+    m = f.value and lcm d.  Rather than multiply each w[nu-j] entry by the
+    falling factorial (nu-1)...(nu-j+1), the rows are scaled to
+    A[nu][d] = w[nu][d] * n!/nu!, starting from A[0] = [n!, 0, ...].  Then
+
+        nu * A[nu] = sum over j | m, j <= nu, of A[nu-j] pushed through
+                     d -> lcm(d, j),
+
+    so each cell costs one addition and each state one division by nu,
+    and A[n] = w[n].  The division is exact: the sum equals nu * A[nu],
+    and A[nu] = w[nu][d] * n!/nu! is an integer because nu <= n.  A
+    remainder would mean a broken lattice table, and raises.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     lattice = DivisorLattice(f)
     divisors = lattice.divisors
     compose = lattice.lcm_index
-    js = [(j, lattice.index_of(j)) for j in divisors if j <= n]
+    js = [(j, compose[lattice.index_of(j)]) for j in divisors if j <= n]
     width = len(divisors)
-    rows: list[list[int]] = [[0] * width for _ in range(n + 1)]
-    rows[0][0] = 1
+    # Row r is last read at step r + (largest j in js with r + j <= n) and
+    # is dropped there: every scaled row is about n! in size.
+    drop_after: list[list[int]] = [[] for _ in range(n + 1)]
+    for r in range(n):
+        drop_after[r + max(j for j, _ in js if r + j <= n)].append(r)
+    rows: list[list[int] | None] = [None] * (n + 1)
+    rows[0] = [math.factorial(n)] + [0] * (width - 1)
     for nu in range(1, n + 1):
-        row = rows[nu]
-        ff = 1
-        built = 1
-        for j, ji in js:
+        row = [0] * width
+        for j, comp in js:
             if j > nu:
                 break
-            for i in range(built, j):
-                ff *= nu - i
-            built = j
-            comp = compose[ji]
             for di, b in enumerate(rows[nu - j]):
                 if b:
-                    row[comp[di]] += ff * b
+                    row[comp[di]] += b
+        for di, s in enumerate(row):
+            if s:
+                q, rem = divmod(s, nu)
+                if rem:
+                    raise RuntimeError(
+                        f"internal inconsistency at n={n}, m={f.value}: "
+                        f"scaled row {nu} is not divisible by {nu}"
+                    )
+                row[di] = q
+        rows[nu] = row
+        for r in drop_after[nu]:
+            rows[r] = None
     counts = {divisors[i]: c for i, c in enumerate(rows[n]) if c}
     return LatticeCountVector(n=n, lattice=lattice, counts=counts)
 

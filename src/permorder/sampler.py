@@ -6,11 +6,14 @@ uniform on {0, ..., X_j - 1}, run until it hits 0.  Sampling the chain
 costs O(number of cycles) uniform draws, so statistics of the order are
 cheap at n far beyond exhaustive enumeration.
 
-Orders are compared as exact big integers (no truncation), uniform steps
-use rejection-free bounded draws (`random.randrange`, no modulo bias),
-and parallel runs split trials into fixed-width chunks whose seeds derive
-from the master seed by an avalanche mix — so pooled hit counts are
-identical for every worker count, including one.
+Orders are compared as exact big integers (no truncation).  Each uniform
+step on {0, ..., x - 1} draws x.bit_length() random bits with
+`getrandbits` and redraws while the result is >= x: the rejection loop
+that `random.randrange(x)` runs internally, so the stream is the one
+`randrange` gives, without modulo bias.  Parallel runs split trials into
+fixed-width chunks whose seeds derive from the master seed by an
+avalanche mix, so pooled hit counts are identical for every worker
+count, including one.
 """
 
 from __future__ import annotations
@@ -114,10 +117,15 @@ class JointPredicate:
 
 
 def _sample_lengths(n: int, rng: random.Random) -> list[int]:
+    # rng.randrange(x)'s own rejection loop, inlined: same draws, same stream.
+    getrandbits = rng.getrandbits
     lengths = []
     x = n
     while x:
-        nxt = rng.randrange(x)  # rejection sampling inside: no modulo bias
+        k = x.bit_length()
+        nxt = getrandbits(k)
+        while nxt >= x:
+            nxt = getrandbits(k)
         lengths.append(x - nxt)
         x = nxt
     return lengths

@@ -14,8 +14,8 @@ back to the last complete record and logging a warning.  ``append`` reads
 only the log's last byte and runs the same repair when that byte does not
 end a line, so each append costs the same however long the log is.
 Damage anywhere earlier in a log is not self-healing and makes ``load``
-raise ``StoreError``, as do foreign schemas, foreign kinds and failed
-file I/O.
+raise ``StoreError``, as do bytes that are not UTF-8, foreign schemas,
+foreign kinds and failed file I/O.  ``load`` parses each line once.
 """
 
 from __future__ import annotations
@@ -102,7 +102,10 @@ def serialize_record(record: ResultRecord) -> str:
 
 
 def parse_record_line(line: str) -> ResultRecord:
-    obj = json.loads(line)
+    return _record_from_json(json.loads(line))
+
+
+def _record_from_json(obj: Any) -> ResultRecord:
     version = obj["schema_version"]
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
@@ -170,12 +173,13 @@ class ResultStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._log = self.root / f"{KIND}.jsonl"
 
-    def _repair_torn_tail(self) -> list[str]:
-        """Return the complete lines of the log, truncating any torn tail.
+    def _repair_torn_tail(self) -> list[tuple[str, Any]]:
+        """Return each complete line of the log with its parsed JSON.
 
         A log is damaged-but-recoverable only in its final line (a write
-        that died partway).  Unparseable lines earlier in the file mean
-        external damage and raise.
+        that died partway), which is truncated away.  Bytes that are not
+        UTF-8 (the store writes only ASCII) or unparseable lines earlier
+        in the file mean external damage and raise.
         """
         path = self._log
         if not path.exists():
@@ -189,28 +193,28 @@ class ResultStore:
                 path.name,
                 len(raw) - keep,
             )
-        lines = raw[:keep].decode("utf-8").splitlines()
-        if lines:
+        try:
+            lines = raw[:keep].decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{path.name}: not UTF-8 text ({exc})") from exc
+        parsed = []
+        for i, line in enumerate(lines):
             try:
-                json.loads(lines[-1])
-            except json.JSONDecodeError:
-                last = lines.pop()
-                keep -= len(last.encode("utf-8")) + 1
+                parsed.append((line, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                if i < len(lines) - 1:
+                    raise StoreError(
+                        f"{path.name}: corrupt record before the final line; "
+                        "refusing to repair automatically"
+                    ) from exc
+                keep -= len(line.encode("utf-8")) + 1
                 logger.warning(
                     "%s: discarding unparseable trailing record", path.name
                 )
-        for line in lines[:-1] if lines else []:
-            try:
-                json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StoreError(
-                    f"{path.name}: corrupt record before the final line; "
-                    "refusing to repair automatically"
-                ) from exc
         if keep != len(raw):
             with path.open("r+b") as fh:
                 fh.truncate(keep)
-        return lines
+        return parsed
 
     def _ends_cleanly(self) -> bool:
         """True if the log is absent, empty, or its last byte ends a line."""
@@ -249,9 +253,9 @@ class ResultStore:
         """
         name = self._log.name
         records = []
-        for line in self._repair_torn_tail():
+        for line, obj in self._repair_torn_tail():
             try:
-                record = parse_record_line(line)
+                record = _record_from_json(obj)
             except StoreError:
                 raise
             except (KeyError, TypeError, ValueError) as exc:

@@ -142,3 +142,40 @@ def restricted_joint_counts(n: int, allowed: frozenset[int]) -> dict[int, int]:
 
 def exact_prob(count: int, n: int) -> Fraction:
     return Fraction(count, math.factorial(n))
+
+
+def cycle_lengths_by_randrange(n: int, rng) -> list[int]:
+    """Cycle lengths of one descending-chain draw, using plain ``randrange``.
+
+    The reference stream: X_0 = n, X_{j+1} = rng.randrange(X_j), and each
+    step's difference is one cycle length.
+    """
+    lengths = []
+    x = n
+    while x:
+        nxt = rng.randrange(x)
+        lengths.append(x - nxt)
+        x = nxt
+    return lengths
+
+
+def lattice_counts_by_falling_factorials(n: int, m: int) -> dict[int, int]:
+    """d -> #{pi in S_n : ord(pi) = d} for every divisor d of m, zeros omitted.
+
+    The textbook cycle peeling: the cycle through the largest of nu labels
+    has some length j | m and (nu-1)(nu-2)...(nu-j+1) fillings, and the
+    other nu-j labels carry the running lcm.
+    """
+    js = [j for j in range(1, min(m, n) + 1) if m % j == 0]
+    rows: list[dict[int, int]] = [{1: 1}]
+    for nu in range(1, n + 1):
+        row: dict[int, int] = {}
+        for j in js:
+            if j > nu:
+                break
+            ff = math.perm(nu - 1, j - 1)
+            for d, b in rows[nu - j].items():
+                key = math.lcm(d, j)
+                row[key] = row.get(key, 0) + ff * b
+        rows.append(row)
+    return {d: c for d, c in rows[n].items() if c}

@@ -415,6 +415,24 @@ class TestScanCounterexamples:
         assert err.startswith("store error:")
         assert out == ""
 
+    @pytest.mark.parametrize("where", ["last", "earlier"])
+    def test_non_utf8_byte_is_store_error(self, capsys, tmp_path, where):
+        run_cli(capsys, "scan-counterexamples", "--n", "2..4",
+                "--cache-dir", str(tmp_path))
+        log = tmp_path / "verification.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        if where == "last":
+            lines.append(b"\xff\n")
+        else:
+            lines[0] = lines[0][:20] + b"\xff" + lines[0][20:]
+        log.write_bytes(b"".join(lines))
+        code, out, err = run_cli(capsys, "scan-counterexamples", "--n", "2..5",
+                                 "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("store error:")
+        assert "UTF-8" in err
+        assert out == ""
+
     def test_stored_lines_count_as_cached(self, capsys, tmp_path):
         lines = "\n".join(helpers.STORED_VERDICT_LINES) + "\n"
         (tmp_path / "verification.jsonl").write_text(lines)

@@ -109,6 +109,27 @@ class TestLatticeCounts:
                 for d, c in vec.counts.items():
                     assert c == pmf.get(d, 0)
 
+    # Point-query sizes: (n, m) with m prime, tau(m) = 16 (210), tau(m) = 24
+    # (420, 630), a lattice wider than n (2310 = 2*3*5*7*11), and m = 1;
+    # then the edges n = 0 and n = 1.
+    @pytest.mark.parametrize(
+        "n, m",
+        [(800, 797), (213, 210), (424, 420), (632, 630), (300, 2310), (600, 1),
+         (0, 1), (0, 12), (1, 1), (1, 6), (2, 1)],
+    )
+    def test_against_falling_factorial_dp(self, n, m):
+        vec = order_counts_on_lattice(n, factorize(m))
+        assert vec.counts == helpers.lattice_counts_by_falling_factorials(n, m)
+        assert vec.count_for(m) == count_order_exactly_mobius(n, factorize(m))
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # A start row of n! + 1 instead of n! makes the scaled rows stop
+        # being divisible; the DP must refuse rather than round.
+        real = math.factorial
+        monkeypatch.setattr(exactdist.math, "factorial", lambda k: real(k) + 1)
+        with pytest.raises(RuntimeError, match="not divisible"):
+            order_counts_on_lattice(5, factorize(1))
+
 
 class TestMobiusRoute:
     def test_frozen_examples(self):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from permorder import sampler
 from permorder.sampler import (
     ChiSquareResult,
     CycleType,
@@ -176,6 +177,52 @@ class TestJointFrequency:
             JointPredicate(kind="divides_order")  # needs m
         with pytest.raises(ValueError):
             JointPredicate(kind="order_divides", m=0)
+
+
+def _stream_sizes() -> list[int]:
+    sizes = {1}
+    for k in range(1, 11):
+        sizes.update((2**k - 1, 2**k, 2**k + 1))
+    return sorted(sizes)
+
+
+class TestGoldenStream:
+    """The sampler's draws are the plain ``randrange`` chain, bit for bit."""
+
+    @pytest.mark.parametrize("n", _stream_sizes())
+    def test_sample_lengths_match_randrange_chain(self, n):
+        for seed in range(40):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert sampler._sample_lengths(n, ours) == (
+                    helpers.cycle_lengths_by_randrange(n, ref)
+                )
+            assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", _stream_sizes())
+    def test_sample_cycle_type_matches_randrange_chain(self, n):
+        for seed in (0, 1, SEED, 2**64 - 1):
+            ours, ref = random.Random(seed), random.Random(seed)
+            ct = sample_cycle_type(n, ours)
+            assert ct.lengths == tuple(sorted(helpers.cycle_lengths_by_randrange(n, ref)))
+            assert ours.getstate() == ref.getstate()
+
+    # Hit counts recorded from the randrange-based sampler; a change to the
+    # draw loop that alters any seeded stream changes them.
+    @pytest.mark.parametrize(
+        "n, m, seed, hits",
+        [(50, 50, 1, 436), (10, 12, 3, 3288), (800, 797, 12345, 10),
+         (600, 600, 2**64 - 1, 31)],
+    )
+    def test_estimate_p_hits_pinned(self, n, m, seed, hits):
+        trials = 30_000 if n == 10 else 20_000
+        assert estimate_p(n, m, trials=trials, seed=seed).hits == hits
+
+    @pytest.mark.parametrize(
+        "n, seed, hits", [(10, 1, 2093), (30, 5, 313), (100, 99, 26)]
+    )
+    def test_estimate_collision_hits_pinned(self, n, seed, hits):
+        assert estimate_collision(n, trials=20_000, seed=seed).hits == hits
 
 
 class TestWorkerPooling:

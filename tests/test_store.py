@@ -210,6 +210,49 @@ class TestTornWriteRecovery:
         with pytest.raises(ValueError):
             store.load()
 
+    @pytest.mark.parametrize("where", ["last", "earlier"])
+    def test_non_utf8_byte_is_store_error(self, tmp_path, where):
+        store, path = self._fill(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        if where == "last":
+            lines.append(b"\xff\n")
+        else:
+            lines[0] = b"\xff" + lines[0]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(StoreError, match="UTF-8"):
+            store.load()
+
+    def test_append_repair_of_non_utf8_log_is_store_error(self, tmp_path):
+        store, path = self._fill(tmp_path)
+        path.write_bytes(b"\xff" + path.read_bytes() + b'{"kind"')
+        with pytest.raises(StoreError, match="UTF-8"):
+            store.append(verdict(5))
+
+    def test_non_utf8_byte_in_torn_tail_is_discarded(self, tmp_path):
+        store, path = self._fill(tmp_path)
+        good = path.read_bytes()
+        path.write_bytes(good + b'{"kind": "\xff')
+        assert [r.n for r in store.load()] == [3, 4]
+        assert path.read_bytes() == good
+
+
+class TestLoadCost:
+    @pytest.mark.parametrize("records", [1, 100])
+    def test_load_parses_each_line_once(self, tmp_path, monkeypatch, records):
+        store = ResultStore(tmp_path)
+        for n in range(records):
+            store.append(verdict(n))
+        calls = []
+        real_loads = json.loads
+
+        def counting_loads(*args, **kwargs):
+            calls.append(1)
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(store_module.json, "loads", counting_loads)
+        assert len(store.load()) == records
+        assert len(calls) == records
+
 
 class TestAppendCost:
     def test_append_reads_only_the_last_byte(self, tmp_path, monkeypatch):
