@@ -205,7 +205,9 @@ def p_exact(n: int, m: int) -> Fraction:
     return Fraction(count, math.factorial(n))
 
 
-@lru_cache(maxsize=None)
+# One entry holds up to max_support ints (18 663 at n = 100, about 0.7 MB),
+# and callers reuse only the n they are working on.
+@lru_cache(maxsize=4)
 def _support_values(n: int, max_support: int) -> tuple[int, ...]:
     primes = primes_up_to(n)
     out: list[int] = []

@@ -51,7 +51,9 @@ class FactoredInt:
             raise ValueError(f"factors do not reconstruct {self.value}")
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long run over many m cannot grow it without limit; a
+# factorization is a few hundred bytes, and callers reuse recent m only.
+@lru_cache(maxsize=1024)
 def factorize(m: int) -> FactoredInt:
     """Prime factorization by trial division (2, 3, then 6k+-1 up to sqrt)."""
     if m < 1:

@@ -194,7 +194,9 @@ class ResultStore:
                 len(raw) - keep,
             )
         try:
-            lines = raw[:keep].decode("utf-8").splitlines()
+            # "\n" only: str.splitlines also breaks on "\r", "\x1c", ...,
+            # which would desynchronise the byte offsets below.
+            lines = raw[:keep].decode("utf-8").split("\n")[:-1]
         except UnicodeDecodeError as exc:
             raise StoreError(f"{path.name}: not UTF-8 text ({exc})") from exc
         parsed = []

@@ -9,6 +9,7 @@ enumeration, definition-level recomputation, textbook recurrences.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -157,6 +158,20 @@ def cycle_lengths_by_randrange(n: int, rng) -> list[int]:
         lengths.append(x - nxt)
         x = nxt
     return lengths
+
+
+def order_hits_by_randrange(n: int, m: int, plan) -> int:
+    """Trials whose order, lcm of the cycle lengths, equals m.
+
+    ``plan`` is a list of (seed, trials) chunks; each chunk draws its trials
+    from its own ``random.Random(seed)`` with `cycle_lengths_by_randrange`.
+    """
+    hits = 0
+    for seed, count in plan:
+        rng = random.Random(seed)
+        for _ in range(count):
+            hits += math.lcm(*cycle_lengths_by_randrange(n, rng)) == m
+    return hits
 
 
 def lattice_counts_by_falling_factorials(n: int, m: int) -> dict[int, int]:

@@ -13,11 +13,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import helpers
+from permorder import cli
 from permorder.asymptotics import prediction_residual
 from permorder.cli import CommandConfig, main, parse_range
 from permorder.store import ResultStore
@@ -89,6 +94,56 @@ class TestUsageErrors:
     def test_range_where_single_n_required(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--n", "3..5")
         assert code == 2
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python args...`` in a new interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                           timeout=120)
+
+
+def run_fresh_process(*argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a new interpreter."""
+    proc = run_python(
+        "-c", "import sys; from permorder.cli import main; sys.exit(main(sys.argv[1:]))",
+        *argv,
+    )
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+class TestRepeatedMain:
+    """`main` reuses one parser per process, and no value leaks between calls."""
+
+    @pytest.mark.parametrize("calls, codes", [
+        ([("sample", "p", "--n", "12", "--m", "6", "--trials", "2000",
+           "--seed", "7", "--format", "json"),
+          ("sample", "collision", "--n", "12", "--trials", "2000",
+           "--seed", "7", "--format", "json")], [0, 0]),
+        ([("sample", "p", "--n", "12", "--m", "6", "--trials", "200", "--seed", "7"),
+          ("sample", "p", "--n", "12", "--trials", "200", "--seed", "7")], [0, 2]),
+        ([("eta-check", "--n", "30", "--k", "2", "--format", "json"),
+          ("eta-check", "--n", "30", "--format", "json")], [0, 0]),
+        ([("sample", "p", "--n", "10", "--m", "4", "--seed", "3", "--trials", "nope"),
+          ("sample", "collision", "--n", "10", "--trials", "500", "--seed", "3",
+           "--format", "csv")], [2, 0]),
+    ], ids=["p-then-collision", "p-then-p-without-m", "eta-k2-then-k0",
+            "usage-error-then-valid"])
+    def test_each_call_matches_a_fresh_process(self, capsys, calls, codes):
+        in_process = [run_cli(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in in_process] == codes
+        assert [run_fresh_process(*argv) for argv in calls] == in_process
+
+    def test_parser_built_on_first_call_then_reused(self, capsys):
+        at_import = run_python(
+            "-c", "import permorder.cli as c; print(c._build_parser.cache_info().currsize)"
+        )
+        assert at_import.stdout == b"0\n"
+        run_cli(capsys, "kn", "--n", "10")
+        built = cli._build_parser.cache_info().misses
+        run_cli(capsys, "kn", "--n", "12")
+        run_cli(capsys, "kn", "--n", "0")
+        assert cli._build_parser.cache_info().misses == built
 
 
 class TestKn:

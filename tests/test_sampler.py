@@ -218,6 +218,20 @@ class TestGoldenStream:
         trials = 30_000 if n == 10 else 20_000
         assert estimate_p(n, m, trials=trials, seed=seed).hits == hits
 
+    # estimate_p stops its lcm work at the first length that does not
+    # divide m but must still draw every step of the chain.
+    @pytest.mark.parametrize(
+        "n, m, trials",
+        [(1, 1, 2_000), (3, 1, 4_000), (50, 50, 4_000), (10, 12, 4_000),
+         (20, 23, 2_000), (800, 1024, 2_000), (31, 30, 4_000), (33, 32, 4_000),
+         (1023, 1020, 3_000), (1025, 1024, 3_000), (4, 4, 25_001)],
+    )
+    def test_estimate_p_hits_match_full_lcm_test(self, n, m, trials):
+        plan = sampler._chunk_plan(trials, SEED)
+        assert estimate_p(n, m, trials=trials, seed=SEED).hits == (
+            helpers.order_hits_by_randrange(n, m, plan)
+        )
+
     @pytest.mark.parametrize(
         "n, seed, hits", [(10, 1, 2093), (30, 5, 313), (100, 99, 26)]
     )

@@ -195,6 +195,18 @@ class TestTornWriteRecovery:
         assert [r.n for r in records] == [3, 4]
         assert path.read_bytes() == good
 
+    # Lines end at "\n" alone: "\r" and "\x1c" are other line breaks to
+    # str.splitlines, and must neither split a line nor shift its offsets.
+    @pytest.mark.parametrize("tail", [b"not json\r\n", b"not\x1cjson\n"])
+    def test_invalid_final_line_holding_other_line_breaks(self, tmp_path, tail):
+        store, path = self._fill(tmp_path)
+        good = path.read_bytes()
+        path.write_bytes(good + tail)
+        assert [r.n for r in store.load()] == [3, 4]
+        assert path.read_bytes() == good
+        store.append(verdict(5))
+        assert [r.n for r in store.load()] == [3, 4, 5]
+
     def test_append_repairs_torn_tail_first(self, tmp_path):
         store, path = self._fill(tmp_path)
         good = path.read_bytes()
