@@ -22,7 +22,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,7 +52,7 @@ from .exactdist import (
     tail_max,
 )
 from .numtheory import DivisorLattice, compute_forcing_set, factorize, landau_g
-from .sampler import estimate_collision, estimate_p
+from .sampler import _pooled, estimate_collision, estimate_p
 from .store import (
     ResultRecord,
     ResultStore,
@@ -95,6 +94,15 @@ def parse_range(text: str) -> tuple[int, int]:
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid range {text!r}: need 1 <= A <= B")
     return lo, hi
+
+
+def _fraction(text: str) -> Fraction:
+    # Fraction("1/0") raises ZeroDivisionError, which argparse does not turn
+    # into a usage error; the message is argparse's own for a bad value.
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,7 @@ def _build_parser() -> _Parser:
 
     tail = add("tail-max",
                "most likely order among m >= n^(1+eps); ties go to the smallest m")
-    tail.add_argument("--eps", type=Fraction, required=True,
+    tail.add_argument("--eps", type=_fraction, required=True,
                       help="positive rational exponent offset, e.g. 1/10")
 
     samp = add("sample", "Monte Carlo estimates from random cycle types",
@@ -277,15 +285,6 @@ def _emit(config: CommandConfig, rows: list[dict[str, Any]]) -> None:
 # per-n workers (module level so process pools can pickle them)
 
 
-def _pmap(fn: Callable[[int], Any], items: Sequence[int], threads: int) -> list[Any]:
-    """Map preserving input order; pool only when it can actually help."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _mode_row(n: int) -> dict[str, Any]:
     result = mode(n)
     return {
@@ -364,7 +363,7 @@ def _cmd_pmf(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
 
 
 def _cmd_mode(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    return _pmap(_mode_row, config.ns(), config.threads), EXIT_OK
+    return list(_pooled(_mode_row, config.ns(), config.threads)), EXIT_OK
 
 
 def _cmd_collision(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
@@ -398,7 +397,7 @@ def _cmd_eta_check(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
 
 
 def _cmd_verify(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    reports = _pmap(_VERIFY_FNS[config.claim], config.ns(), config.threads)
+    reports = list(_pooled(_VERIFY_FNS[config.claim], config.ns(), config.threads))
     rows = [
         {"n": r.n, "holds": r.holds, "witnesses": list(r.witnesses)}
         for r in reports
@@ -448,10 +447,6 @@ def _cmd_bounds_check(config: CommandConfig) -> tuple[list[dict[str, Any]], int]
     return rows, code
 
 
-def _scan_one(n: int):
-    return verify_mode_location(n)
-
-
 def _cached_row(rec: ResultRecord) -> dict[str, Any] | None:
     """The output row of a stored mode-location verdict, None for other claims."""
     try:
@@ -483,7 +478,7 @@ def _cmd_scan(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
     print(f"scan {lo}..{hi}: {len(rows_by_n)} cached, {len(todo)} to compute",
           file=sys.stderr)
 
-    def record(report) -> None:
+    for report in _pooled(verify_mode_location, todo, config.threads):
         store.append(verification_record(report))
         verdict = (
             "holds"
@@ -497,16 +492,6 @@ def _cmd_scan(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
             "expected": report.details["expected"],
             "witnesses": list(report.witnesses),
         }
-
-    if config.threads > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(config.threads, len(todo))
-        ) as pool:
-            for report in pool.map(_scan_one, todo):
-                record(report)
-    else:
-        for n in todo:
-            record(_scan_one(n))
 
     rows = [rows_by_n[n] for n in sorted(rows_by_n)]
     code = EXIT_OK if all(r["holds"] for r in rows) else EXIT_COUNTEREXAMPLES

@@ -5,12 +5,16 @@ here is exact: counts are Python ints and probabilities are Fractions
 with denominator n!; no approximate arithmetic appears anywhere in
 this module.
 
-Two independent exact routes are provided on purpose: a DP over the
-divisor lattice of m (`order_counts_on_lattice`) and inclusion-exclusion
-over prime-exponent drops (`count_order_exactly_mobius`).  They share no
-intermediate results, so agreement between them is a real cross-check.
-The full pmf comes from a third route, a partition scan (`full_pmf`),
-and `mode` is read off that exact pmf.
+Point counts come by two exact routes: a DP over the divisor lattice of m
+(`order_counts_on_lattice`) and inclusion-exclusion over prime-exponent
+drops (`count_order_exactly_mobius`, on the falling-factorial recursion of
+`count_lengths_divide`).  The full pmf comes from a partition scan over
+the long cycles merged with a table of the short ones (`full_pmf`), and
+`mode` is read off that exact pmf.  The lattice DP, the small-cycle table
+and `count_restricted_cycles` share one scaled cycle-peeling loop,
+`_peel`.  The cross-checks that share nothing with it are the
+inclusion-exclusion route, brute-force enumeration (`brute_force_pmf`)
+and the reference code in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .numtheory import DivisorLattice, FactoredInt, factorize, primes_up_to
+from .numtheory import DivisorLattice, FactoredInt, factorize, lcm_range, primes_up_to
 
 DEFAULT_MAX_N = 100
 DEFAULT_MAX_SUPPORT = 5_000_000
@@ -105,44 +109,34 @@ def count_lengths_divide(n: int, f: FactoredInt) -> int:
     return w[n]
 
 
-def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
-    """Exact-order counts for all divisors of f.value at once.
+def _peel(n: int, moves: list[tuple[int, Sequence[int]]], width: int):
+    """Yield rows 0..n of the scaled cycle-peeling recurrence.
 
-    Same cycle-peeling recursion as `count_lengths_divide`, but the state
-    tracks the running lcm of the cycle lengths used so far, encoded as a
-    position in the divisor lattice of f.value.  Appending a j-cycle moves
-    state d to lcm(d, j), which is a table lookup.
+    Classify a permutation of [nu] by the cycle through its largest label:
+    if it has length j, the other nu-j labels in state s give state
+    comp_j[s].  ``moves`` lists the (j, comp_j) by ascending j, over states
+    0..width-1, and w[nu][s] counts permutations of [nu] in state s (the
+    empty one in state 0).  Instead of multiplying w[nu-j] by the falling
+    factorial (nu-1)...(nu-j+1), rows are scaled to A[nu] = w[nu] * n!/nu!
+    from A[0] = [n!, 0, ...], so that
 
-    Let w[nu][d] count permutations of [nu] with cycle lengths dividing
-    m = f.value and lcm d.  Rather than multiply each w[nu-j] entry by the
-    falling factorial (nu-1)...(nu-j+1), the rows are scaled to
-    A[nu][d] = w[nu][d] * n!/nu!, starting from A[0] = [n!, 0, ...].  Then
+        nu * A[nu][s'] = sum over j, and s with comp_j[s] = s', of A[nu-j][s]:
 
-        nu * A[nu] = sum over j | m, j <= nu, of A[nu-j] pushed through
-                     d -> lcm(d, j),
-
-    so each cell costs one addition and each state one division by nu,
-    and A[n] = w[n].  The division is exact: the sum equals nu * A[nu],
-    and A[nu] = w[nu][d] * n!/nu! is an integer because nu <= n.  A
-    remainder would mean a broken lattice table, and raises.
+    one addition per cell and one division by nu per state, and A[n] = w[n].
+    The division is exact because A[nu] is an integer for nu <= n; a
+    remainder means a broken move table, and raises.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    lattice = DivisorLattice(f)
-    divisors = lattice.divisors
-    compose = lattice.lcm_index
-    js = [(j, compose[lattice.index_of(j)]) for j in divisors if j <= n]
-    width = len(divisors)
-    # Row r is last read at step r + (largest j in js with r + j <= n) and
-    # is dropped there: every scaled row is about n! in size.
+    # Row r is dropped after its last read, at step r + max{j : r + j <= n}
+    # (at once if no step reads it): every scaled row is about n! in size.
     drop_after: list[list[int]] = [[] for _ in range(n + 1)]
     for r in range(n):
-        drop_after[r + max(j for j, _ in js if r + j <= n)].append(r)
+        drop_after[r + max((j for j, _ in moves if r + j <= n), default=0)].append(r)
     rows: list[list[int] | None] = [None] * (n + 1)
     rows[0] = [math.factorial(n)] + [0] * (width - 1)
+    yield rows[0]
     for nu in range(1, n + 1):
         row = [0] * width
-        for j, comp in js:
+        for j, comp in moves:
             if j > nu:
                 break
             for di, b in enumerate(rows[nu - j]):
@@ -153,14 +147,33 @@ def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
                 q, rem = divmod(s, nu)
                 if rem:
                     raise RuntimeError(
-                        f"internal inconsistency at n={n}, m={f.value}: "
+                        f"internal inconsistency at n={n}: "
                         f"scaled row {nu} is not divisible by {nu}"
                     )
                 row[di] = q
         rows[nu] = row
         for r in drop_after[nu]:
             rows[r] = None
-    counts = {divisors[i]: c for i, c in enumerate(rows[n]) if c}
+        yield row
+
+
+def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
+    """Exact-order counts for all divisors of f.value at once.
+
+    The cycle peeling of `_peel` over cycle lengths j dividing m = f.value,
+    with the running lcm of the lengths used so far as the state, encoded
+    as a position in the divisor lattice of m.  Appending a j-cycle moves
+    state d to lcm(d, j), which is a table lookup.
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    lattice = DivisorLattice(f)
+    divisors = lattice.divisors
+    compose = lattice.lcm_index
+    moves = [(j, compose[lattice.index_of(j)]) for j in divisors if j <= n]
+    for row in _peel(n, moves, len(divisors)):
+        pass
+    counts = {divisors[i]: c for i, c in enumerate(row) if c}
     return LatticeCountVector(n=n, lattice=lattice, counts=counts)
 
 
@@ -255,22 +268,22 @@ def _small_cycle_limit(n: int) -> int:
 def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
     """Row r maps l to #{pi in S_r : all cycles of pi are <= t, ord(pi) = l}.
 
-    Same cycle peeling as `count_lengths_divide`: the cycle through the
-    largest label has some length j <= t and (r-1)(r-2)...(r-j+1)
-    fillings, and the other r-j labels come from row r-j.
+    The cycle peeling of `_peel` over cycle lengths j <= t, with the lcm
+    so far as a position among the divisors of lcm(1..t).  Its rows are
+    scaled by n!/r!, and each is divided back once.
     """
+    t = min(t, n)
+    lattice = DivisorLattice(factorize(lcm_range(t)))
+    divisors = lattice.divisors
     lcm = math.lcm
-    rows = [{1: 1}]
-    for r in range(1, n + 1):
-        row: dict[int, int] = {}
-        ff = 1
-        for j in range(1, min(t, r) + 1):
-            if j > 1:
-                ff *= r - j + 1
-            for ell, c in rows[r - j].items():
-                key = lcm(ell, j)
-                row[key] = row.get(key, 0) + ff * c
-        rows.append(row)
+    moves = [
+        (j, [lattice.index_of(lcm(d, j)) for d in divisors]) for j in range(1, t + 1)
+    ]
+    f_n = math.factorial(n)
+    rows = []
+    for r, row in enumerate(_peel(n, moves, len(divisors))):
+        scale = f_n // math.factorial(r)
+        rows.append({divisors[i]: c // scale for i, c in enumerate(row) if c})
     return rows
 
 
@@ -320,9 +333,9 @@ def full_pmf(
 ) -> OrderPmf:
     """The complete exact pmf of the order, as counts out of n!.
 
-    Computed by one partition scan with a small-cycle table (independent
-    of the per-m DP routes), so the result doubles as a global cross-check:
-    the counts must sum to n! and the nonzero keys must equal support(n).
+    Computed by one partition scan with a small-cycle table; the table runs
+    on `_peel`, like the lattice DP.  The counts must sum to n! and the
+    nonzero keys must equal support(n), which checks the whole result.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -388,8 +401,8 @@ def tail_max(
 def count_restricted_cycles(n: int, cycles: int, allowed: Iterable[int]) -> int:
     """Permutations of [n] with exactly `cycles` cycles, all lengths in `allowed`.
 
-    Same cycle-peeling recursion as `count_lengths_divide`, with the cycle
-    count carried as a second DP dimension.
+    The cycle peeling of `_peel` with the number of cycles as the state;
+    the last state absorbs every permutation with more than `cycles`.
     """
     js = sorted(set(allowed))
     for j in js:
@@ -397,24 +410,10 @@ def count_restricted_cycles(n: int, cycles: int, allowed: Iterable[int]) -> int:
             raise ValueError(f"cycle lengths must lie in 1..{n}, got {j}")
     if n < 0 or cycles < 0:
         raise ValueError(f"need n >= 0 and cycles >= 0, got n={n}, cycles={cycles}")
-    rows: list[list[int]] = [[0] * (cycles + 1) for _ in range(n + 1)]
-    rows[0][0] = 1
-    for nu in range(1, n + 1):
-        row = rows[nu]
-        ff = 1
-        built = 1
-        for j in js:
-            if j > nu:
-                break
-            for i in range(built, j):
-                ff *= nu - i
-            built = j
-            prev = rows[nu - j]
-            for ell in range(1, cycles + 1):
-                b = prev[ell - 1]
-                if b:
-                    row[ell] += ff * b
-    return rows[n][cycles]
+    add_one = [*range(1, cycles + 2), cycles + 1]
+    for row in _peel(n, [(j, add_one) for j in js], cycles + 2):
+        pass
+    return row[cycles]
 
 
 @lru_cache(maxsize=None)

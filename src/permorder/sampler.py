@@ -34,8 +34,6 @@ _CHUNK = 10_000
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
-_PREDICATE_KINDS = ("restricted", "divides_order", "order_divides")
-
 
 @dataclass(frozen=True)
 class CycleType:
@@ -82,42 +80,6 @@ class ChiSquareResult:
     passed: bool
     seed: int
     significance: float = 1e-3
-
-
-@dataclass(frozen=True)
-class JointPredicate:
-    """Event descriptor for `joint_frequency`.
-
-    kind "restricted":    every cycle length lies in `allowed`;
-    kind "divides_order": m divides the order;
-    kind "order_divides": the order divides m.
-    """
-
-    kind: str
-    allowed: frozenset[int] | None = None
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PREDICATE_KINDS:
-            raise ValueError(
-                f"unknown predicate kind {self.kind!r}; expected one of "
-                f"{_PREDICATE_KINDS}"
-            )
-        if self.kind == "restricted":
-            if not self.allowed:
-                raise ValueError("restricted predicate needs a nonempty allowed set")
-            object.__setattr__(self, "allowed", frozenset(self.allowed))
-            if min(self.allowed) < 1:
-                raise ValueError("allowed cycle lengths must be >= 1")
-        elif self.m is None or self.m < 1:
-            raise ValueError(f"{self.kind} predicate needs m >= 1")
-
-    def holds(self, lengths: list[int], order: int) -> bool:
-        if self.kind == "restricted":
-            return all(j in self.allowed for j in lengths)
-        if self.kind == "divides_order":
-            return order % self.m == 0
-        return self.m % order == 0
 
 
 def _sample_lengths(n: int, rng: random.Random) -> list[int]:
@@ -171,12 +133,20 @@ def _chunk_plan(trials: int, seed: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _pooled(fn, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+def _pooled(fn, tasks, workers: int):
+    """Yield fn(task) for each task, in task order, as each result is ready.
+
+    With more than one worker and more than one task the calls run in a
+    pool of min(workers, len(tasks)) processes: under fork a pool starts
+    all of its workers at once, however few tasks there are.
+    """
+    tasks = list(tasks)
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunksize = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        yield from pool.map(fn, tasks)
 
 
 def _hits_order_eq(task: tuple[int, int, int, int]) -> int:
@@ -212,19 +182,6 @@ def _hits_collision(task: tuple[int, int, int]) -> int:
     for _ in range(count):
         first = math.lcm(*_sample_lengths(n, rng))
         if math.lcm(*_sample_lengths(n, rng)) == first:
-            hits += 1
-    return hits
-
-
-def _hits_joint(task: tuple[int, int, JointPredicate, int, int]) -> int:
-    n, cycles, predicate, cseed, count = task
-    rng = random.Random(cseed)
-    hits = 0
-    for _ in range(count):
-        lengths = _sample_lengths(n, rng)
-        if len(lengths) == cycles and predicate.holds(
-            lengths, math.lcm(*lengths)
-        ):
             hits += 1
     return hits
 
@@ -288,24 +245,6 @@ def estimate_collision(
     tasks = [(n, s, c) for s, c in _chunk_plan(trials, seed)]
     hits = sum(_pooled(_hits_collision, tasks, workers))
     return _make_record(f"collision(n={n})", n, trials, hits, seed)
-
-
-def joint_frequency(
-    n: int,
-    cycles: int,
-    predicate: JointPredicate,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> EstimateRecord:
-    """Empirical frequency of {exactly `cycles` cycles} and the predicate."""
-    _validate(n, trials, workers)
-    if cycles < 1:
-        raise ValueError(f"need cycles >= 1, got {cycles}")
-    tasks = [(n, cycles, predicate, s, c) for s, c in _chunk_plan(trials, seed)]
-    hits = sum(_pooled(_hits_joint, tasks, workers))
-    target = f"joint(n={n}, cycles={cycles}, {predicate.kind})"
-    return _make_record(target, n, trials, hits, seed)
 
 
 def _chi2_sf(statistic: float, dof: int) -> float:

@@ -30,6 +30,34 @@ def acceptance_note(request):
     return note
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool opened, with no process started.
+
+    Replaces the pool class the package uses by one that records its size
+    and runs the calls in this process.
+    """
+    from permorder import sampler
+
+    sizes: list[int] = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes
+
+
 def pytest_runtest_logreport(report):
     match = _CRITERION_RE.search(report.nodeid)
     if not match:

@@ -32,7 +32,7 @@ from permorder.asymptotics import (
     verify_mode_location,
     verify_near_max_form,
 )
-from permorder.exactdist import count_restricted_cycles
+from permorder.exactdist import count_order_exactly_mobius, count_restricted_cycles
 from permorder.numtheory import (
     DivisorLattice,
     compute_forcing_set,
@@ -260,6 +260,25 @@ class TestVerifyModeLocation:
             expected = n - compute_forcing_set(n).max_k
             assert report.claim == CLAIM_MODE_LOCATION
             assert report.details["expected"] == expected
+
+    def test_frontier_61_to_120(self):
+        # Past the acceptance scan's 2..60 the counterexamples are these,
+        # with their argmax; every other n up to 120 holds.  Each count is
+        # checked against the inclusion-exclusion route.
+        counterexamples = {67: (60,), 72: (72,), 84: (84,), 90: (90,), 120: (120,)}
+        for n in range(61, 121):
+            report = verify_mode_location(n, max_n=120)
+            expected = report.details["expected"]
+            expected_count = count_order_exactly_mobius(n, factorize(expected))
+            if n in counterexamples:
+                assert not report.holds
+                assert report.witnesses == counterexamples[n]
+                (m,) = counterexamples[n]
+                assert report.details["max_count"] == count_order_exactly_mobius(n, factorize(m))
+                assert expected_count < report.details["max_count"]
+            else:
+                assert report.holds
+                assert report.details["max_count"] == expected_count
 
 
 class TestVerifyGapInequality:

@@ -95,6 +95,12 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "pmf", "--n", "3..5")
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["1/0", "abc"])
+    def test_eps_that_is_not_a_fraction(self, capsys, eps):
+        code, out, err = run_cli(capsys, "tail-max", "--n", "10", "--eps", eps)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: argument --eps: invalid Fraction value: '{eps}'\n"
+
 
 def run_python(*args) -> subprocess.CompletedProcess:
     """``python args...`` in a new interpreter that imports this package."""
@@ -549,3 +555,43 @@ class TestScanCounterexamples:
             "--threads", "3",
         )
         assert out1 == out2
+
+    def test_each_verdict_is_stored_before_the_next_is_computed(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "verification.jsonl"
+        stored_before = []
+        real = cli.verify_mode_location
+
+        def checked(n):
+            stored_before.append(len(log.read_bytes().splitlines()) if log.exists() else 0)
+            return real(n)
+
+        monkeypatch.setattr(cli, "verify_mode_location", checked)
+        code, _, _ = run_cli(capsys, "scan-counterexamples", "--n", "2..6",
+                             "--cache-dir", str(tmp_path))
+        assert code == 3
+        assert stored_before == [0, 1, 2, 3, 4]
+
+
+class TestWorkerCap:
+    """--threads opens a pool no larger than the number of work items."""
+
+    def test_sample(self, capsys, pool_sizes):
+        argv = ["sample", "p", "--n", "10", "--m", "10", "--trials", "20000",
+                "--seed", "1", "--format", "json"]
+        _, solo, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--threads", "5000")
+        assert (code, out) == (0, solo)
+        assert pool_sizes == [2]
+
+    def test_mode_and_verify(self, capsys, pool_sizes):
+        assert run_cli(capsys, "mode", "--n", "3..5", "--threads", "5000")[0] == 0
+        assert run_cli(capsys, "verify", "thm12", "--n", "3..4", "--threads", "5000")[0] == 0
+        assert pool_sizes == [3, 2]
+
+    def test_scan(self, capsys, tmp_path, pool_sizes):
+        code, _, _ = run_cli(capsys, "scan-counterexamples", "--n", "2..4",
+                             "--cache-dir", str(tmp_path), "--threads", "5000")
+        assert code == 3
+        assert pool_sizes == [3]

@@ -266,6 +266,14 @@ class TestSmallCycleKernel:
                     expected[ell] = expected.get(ell, 0) + helpers.cycle_type_count(r, parts)
                 assert table[r] == expected
 
+    def test_inexact_division_raises(self, monkeypatch):
+        # The table runs on the lattice DP's scaled rows and must refuse an
+        # inexact row the same way.
+        real = math.factorial
+        monkeypatch.setattr(exactdist.math, "factorial", lambda k: real(k) + 1)
+        with pytest.raises(RuntimeError, match="not divisible"):
+            exactdist._small_cycle_table(5, 3)
+
 
 class TestBruteForce:
     def test_frozen_example(self):
@@ -390,6 +398,11 @@ class TestRestrictedCycles:
                 allowed = [j for j in range(1, n + 1) if d % j == 0]
                 total = sum(count_restricted_cycles(n, ell, allowed) for ell in range(n + 1))
                 assert total == count_lengths_divide(n, factorize(d))
+
+    def test_more_cycles_than_labels(self):
+        for n in range(0, 6):
+            assert count_restricted_cycles(n, n + 1, range(1, n + 1)) == 0
+            assert count_restricted_cycles(n, n + 3, {1} if n else ()) == 0
 
 
 class TestTailMax:

@@ -19,11 +19,9 @@ from permorder.sampler import (
     ChiSquareResult,
     CycleType,
     EstimateRecord,
-    JointPredicate,
     chi_square_vs_exact,
     estimate_collision,
     estimate_p,
-    joint_frequency,
     sample_cycle_type,
 )
 
@@ -137,48 +135,6 @@ class TestEstimateCollision:
         assert abs(rec.estimate - p) < four_sigma(p, trials)
 
 
-class TestJointFrequency:
-    def test_restricted_matches_brute_force(self):
-        # two cycles, both lengths 2, in S_4: exactly 3/24
-        trials = 100_000
-        pred = JointPredicate(kind="restricted", allowed=frozenset({2}))
-        rec = joint_frequency(4, 2, pred, trials=trials, seed=SEED)
-        assert abs(rec.estimate - 1 / 8) < four_sigma(1 / 8, trials)
-
-    def test_single_cycle_frequency(self):
-        # m=1 divides every order, so this is just P(one cycle) = 1/n
-        trials = 100_000
-        pred = JointPredicate(kind="divides_order", m=1)
-        rec = joint_frequency(5, 1, pred, trials=trials, seed=SEED)
-        assert abs(rec.estimate - 0.2) < four_sigma(0.2, trials)
-
-    def test_order_divides_case(self):
-        # in S_4 a single cycle is a 4-cycle, and 4 divides 4: P = 1/4
-        trials = 100_000
-        pred = JointPredicate(kind="order_divides", m=4)
-        rec = joint_frequency(4, 1, pred, trials=trials, seed=SEED)
-        assert abs(rec.estimate - 0.25) < four_sigma(0.25, trials)
-
-    def test_joint_against_enumeration(self):
-        # cycles=2 and order divisible by 3 in S_5, oracle by enumeration
-        trials = 100_000
-        joint = helpers.joint_counts(5)
-        p = sum(c for (ell, m), c in joint.items() if ell == 2 and m % 3 == 0) / 120
-        pred = JointPredicate(kind="divides_order", m=3)
-        rec = joint_frequency(5, 2, pred, trials=trials, seed=SEED)
-        assert abs(rec.estimate - p) < four_sigma(p, trials)
-
-    def test_predicate_validation(self):
-        with pytest.raises(ValueError):
-            JointPredicate(kind="nonsense", m=3)
-        with pytest.raises(ValueError):
-            JointPredicate(kind="restricted")  # needs allowed
-        with pytest.raises(ValueError):
-            JointPredicate(kind="divides_order")  # needs m
-        with pytest.raises(ValueError):
-            JointPredicate(kind="order_divides", m=0)
-
-
 def _stream_sizes() -> list[int]:
     sizes = {1}
     for k in range(1, 11):
@@ -255,6 +211,30 @@ class TestWorkerPooling:
         solo = chi_square_vs_exact(3, trials=30_000, seed=SEED, workers=1)
         pooled = chi_square_vs_exact(3, trials=30_000, seed=SEED, workers=2)
         assert solo == pooled
+
+    def test_pool_is_capped_at_the_task_count(self, pool_sizes):
+        # 20 000 trials are two chunks: a pool of two, however many workers
+        # are asked for, and the same hits as in one process.
+        solo = estimate_p(10, 10, trials=20_000, seed=SEED, workers=1)
+        assert pool_sizes == []
+        assert estimate_p(10, 10, trials=20_000, seed=SEED, workers=5000) == solo
+        assert estimate_collision(3, trials=25_000, seed=SEED, workers=4) == (
+            estimate_collision(3, trials=25_000, seed=SEED, workers=1)
+        )
+        assert pool_sizes == [2, 3]
+
+    def test_results_arrive_one_at_a_time(self):
+        calls = []
+
+        def note(x):
+            calls.append(x)
+            return x * x
+
+        results = sampler._pooled(note, [1, 2, 3], 1)
+        assert calls == []
+        assert next(results) == 1
+        assert calls == [1]
+        assert list(results) == [4, 9]
 
 
 class TestChiSquare:
