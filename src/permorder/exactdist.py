@@ -5,16 +5,18 @@ here is exact: counts are Python ints and probabilities are Fractions
 with denominator n!; no approximate arithmetic appears anywhere in
 this module.
 
-Point counts come by two exact routes: a DP over the divisor lattice of m
-(`order_counts_on_lattice`) and inclusion-exclusion over prime-exponent
-drops (`count_order_exactly_mobius`, on the falling-factorial recursion of
-`count_lengths_divide`).  The full pmf comes from a partition scan over
-the long cycles merged with a table of the short ones (`full_pmf`), and
-`mode` is read off that exact pmf.  The lattice DP, the small-cycle table
-and `count_restricted_cycles` share one scaled cycle-peeling loop,
-`_peel`.  The cross-checks that share nothing with it are the
-inclusion-exclusion route, brute-force enumeration (`brute_force_pmf`)
-and the reference code in tests/helpers.py.
+Point counts come by two exact routes.  `order_counts_on_lattice` counts,
+for every divisor d of m, the permutations whose cycle lengths all divide
+d, by a scaled one-state recurrence (`_divide_counts`), and Moebius-inverts
+those counts over the divisor lattice of m.  `count_order_exactly_mobius`
+runs inclusion-exclusion over prime-exponent drops on the falling-factorial
+recursion of `count_lengths_divide`.  The full pmf comes from a partition
+scan over the long cycles merged with a table of the short ones
+(`full_pmf`), and `mode` is read off that exact pmf.  The small-cycle table
+and `count_restricted_cycles` share one scaled cycle-peeling loop, `_peel`.
+The cross-checks that share nothing with these are the inclusion-exclusion
+route, brute-force enumeration (`brute_force_pmf`) and the reference code
+in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -157,24 +159,72 @@ def _peel(n: int, moves: list[tuple[int, Sequence[int]]], width: int):
         yield row
 
 
+def _divide_counts(n: int, divisors: Sequence[int]) -> list[int]:
+    """L(d) = #{pi in S_n : every cycle length divides d}, for each d listed.
+
+    ``divisors`` must be all the divisors of some m, ascending.  For each d
+    this is the cycle peeling of `count_lengths_divide` restricted to one
+    state, with rows scaled to a[nu] = w[nu] * n!/nu! from a[0] = n! as in
+    `_peel`, so that
+
+        nu * a[nu] = sum over j | d, j <= nu, of a[nu-j]:
+
+    one addition per cell and one division by nu per row, and a[n] = L(d).
+    A remainder means a broken recurrence, and raises.
+    """
+    f_n = math.factorial(n)
+    out = []
+    for d in divisors:
+        js = [j for j in divisors if j <= n and d % j == 0]
+        a = [f_n] + [0] * n
+        for nu in range(1, n + 1):
+            s = 0
+            for j in js:
+                if j > nu:
+                    break
+                s += a[nu - j]
+            q, rem = divmod(s, nu)
+            if rem:
+                raise RuntimeError(
+                    f"internal inconsistency at n={n}: "
+                    f"scaled row {nu} is not divisible by {nu}"
+                )
+            a[nu] = q
+        out.append(a[n])
+    return out
+
+
 def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
     """Exact-order counts for all divisors of f.value at once.
 
-    The cycle peeling of `_peel` over cycle lengths j dividing m = f.value,
-    with the running lcm of the lengths used so far as the state, encoded
-    as a position in the divisor lattice of m.  Appending a j-cycle moves
-    state d to lcm(d, j), which is a table lookup.
+    L(d), the number of permutations whose cycle lengths all divide d, is
+    the sum of the exact-order counts E(d') over d' | d.  So `_divide_counts`
+    gives L on the divisor lattice of m = f.value, and Moebius inversion
+    one prime at a time recovers E: for each p | m, over the divisors in
+    descending order, E(d) -= E(d/p) wherever p | d.  That costs
+    sum over d | m of tau(d) additions per label, against tau(m) per cycle
+    length for a DP that carries the running lcm.  A negative E(d) means
+    an inconsistent L, and raises.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     lattice = DivisorLattice(f)
     divisors = lattice.divisors
-    compose = lattice.lcm_index
-    moves = [(j, compose[lattice.index_of(j)]) for j in divisors if j <= n]
-    for row in _peel(n, moves, len(divisors)):
-        pass
-    counts = {divisors[i]: c for i, c in enumerate(row) if c}
-    return LatticeCountVector(n=n, lattice=lattice, counts=counts)
+    index_of = lattice.index_of
+    counts = _divide_counts(n, divisors)
+    for p, _ in f.factors:
+        for i in range(len(divisors) - 1, -1, -1):
+            d = divisors[i]
+            if d % p == 0:
+                counts[i] -= counts[index_of(d // p)]
+    for d, c in zip(divisors, counts):
+        if c < 0:
+            raise RuntimeError(
+                f"internal inconsistency at n={n}: negative count {c} for order {d}"
+            )
+    return LatticeCountVector(
+        n=n, lattice=lattice, counts={d: c for d, c in zip(divisors, counts) if c}
+    )
 
 
 def count_order_exactly_mobius(n: int, f: FactoredInt) -> int:
@@ -209,12 +259,28 @@ def p_exact(n: int, m: int) -> Fraction:
         raise ValueError(f"need n >= 1, got {n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    f = factorize(m)
     # m is an achievable order iff its maximal prime powers fit into [n]
     # as disjoint cycles; everything else can be padded with fixed points.
-    if sum(p**e for p, e in f.factors) > n:
+    # So only primes <= n are divided out: whatever is left over has a
+    # prime factor > n, and m is decided without factorizing it.
+    factors = []
+    rem = m
+    for p in primes_up_to(n):
+        if p * p > rem:
+            break
+        if rem % p == 0:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            factors.append((p, e))
+    if rem > n:
         return Fraction(0)
-    count = order_counts_on_lattice(n, f).count_for(m)
+    if rem > 1:
+        factors.append((rem, 1))  # a prime: no prime below sqrt(rem) divides it
+    if sum(p**e for p, e in factors) > n:
+        return Fraction(0)
+    count = order_counts_on_lattice(n, FactoredInt(m, tuple(factors))).count_for(m)
     return Fraction(count, math.factorial(n))
 
 
@@ -334,8 +400,8 @@ def full_pmf(
     """The complete exact pmf of the order, as counts out of n!.
 
     Computed by one partition scan with a small-cycle table; the table runs
-    on `_peel`, like the lattice DP.  The counts must sum to n! and the
-    nonzero keys must equal support(n), which checks the whole result.
+    on `_peel`.  The counts must sum to n! and the nonzero keys must equal
+    support(n), which checks the whole result.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -107,8 +107,8 @@ class DivisorLattice:
     """All divisors of m, sorted ascending, with pair composition by lcm.
 
     ``lcm_index[i][j]`` is the index of lcm(divisors[i], divisors[j]). The
-    dense table is built lazily because only the order-counting DP needs it;
-    plain divisor queries should stay linear in tau(m).
+    dense table is built lazily, on first use, so that plain divisor
+    queries stay linear in tau(m).
     """
 
     def __init__(self, m: FactoredInt):

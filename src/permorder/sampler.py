@@ -23,6 +23,7 @@ count, including one.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -133,15 +134,23 @@ def _chunk_plan(trials: int, seed: int) -> list[tuple[int, int]]:
     return plan
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pooled(fn, tasks, workers: int):
     """Yield fn(task) for each task, in task order, as each result is ready.
 
     With more than one worker and more than one task the calls run in a
-    pool of min(workers, len(tasks)) processes: under fork a pool starts
-    all of its workers at once, however few tasks there are.
+    pool of min(workers, len(tasks), usable CPUs) processes: under fork a
+    pool starts all of its workers at once, however few tasks there are,
+    and workers beyond the CPUs only queue for them.
     """
     tasks = list(tasks)
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
         yield from map(fn, tasks)
         return

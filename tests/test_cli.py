@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from permorder import cli
+from permorder import cli, sampler
 from permorder.asymptotics import prediction_residual
 from permorder.cli import CommandConfig, main, parse_range
 from permorder.store import ResultStore
@@ -575,7 +575,7 @@ class TestScanCounterexamples:
 
 
 class TestWorkerCap:
-    """--threads opens a pool no larger than the number of work items."""
+    """--threads opens a pool no larger than the work items or the CPUs."""
 
     def test_sample(self, capsys, pool_sizes):
         argv = ["sample", "p", "--n", "10", "--m", "10", "--trials", "20000",
@@ -584,6 +584,16 @@ class TestWorkerCap:
         code, out, _ = run_cli(capsys, *argv, "--threads", "5000")
         assert (code, out) == (0, solo)
         assert pool_sizes == [2]
+
+    def test_sample_is_capped_at_the_cpu_count(self, capsys, pool_sizes, monkeypatch):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        argv = ["sample", "p", "--n", "10", "--m", "10", "--trials", "100000",
+                "--seed", "1", "--format", "json"]
+        _, solo, _ = run_cli(capsys, *argv)
+        for threads in ("2", "3", "5000"):
+            code, out, _ = run_cli(capsys, *argv, "--threads", threads)
+            assert (code, out) == (0, solo)
+        assert pool_sizes == [2, 2, 2]
 
     def test_mode_and_verify(self, capsys, pool_sizes):
         assert run_cli(capsys, "mode", "--n", "3..5", "--threads", "5000")[0] == 0

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from permorder import exactdist
+from permorder import exactdist, numtheory
 from permorder.exactdist import (
     DEFAULT_MAX_N,
     BudgetExceededError,
@@ -32,7 +32,7 @@ from permorder.exactdist import (
     support,
     tail_max,
 )
-from permorder.numtheory import compute_forcing_set, factorize, landau_g
+from permorder.numtheory import DivisorLattice, compute_forcing_set, factorize, landau_g
 
 ORACLE_MAX_N = 44  # helpers.pmf_by_partitions stays fast up to here
 # Where the kernel's small-cycle limit t changes value, and where n <= t so
@@ -111,11 +111,14 @@ class TestLatticeCounts:
 
     # Point-query sizes: (n, m) with m prime, tau(m) = 16 (210), tau(m) = 24
     # (420, 630), a lattice wider than n (2310 = 2*3*5*7*11), and m = 1;
-    # then the edges n = 0 and n = 1.
+    # then the edges n = 0 and n = 1.  Then non-squarefree, highly composite
+    # m (5040, 102960, 720), m > n (720720, with 240 divisors, and 1024, a
+    # prime power beyond n), and n = 2.
     @pytest.mark.parametrize(
         "n, m",
         [(800, 797), (213, 210), (424, 420), (632, 630), (300, 2310), (600, 1),
-         (0, 1), (0, 12), (1, 1), (1, 6), (2, 1)],
+         (0, 1), (0, 12), (1, 1), (1, 6), (2, 1),
+         (800, 5040), (500, 102960), (240, 720), (60, 720720), (10, 1024), (2, 12)],
     )
     def test_against_falling_factorial_dp(self, n, m):
         vec = order_counts_on_lattice(n, factorize(m))
@@ -129,6 +132,27 @@ class TestLatticeCounts:
         monkeypatch.setattr(exactdist.math, "factorial", lambda k: real(k) + 1)
         with pytest.raises(RuntimeError, match="not divisible"):
             order_counts_on_lattice(5, factorize(1))
+
+
+class TestDivideCountRoute:
+    """The lattice counts as divide-counts L(d) plus Moebius inversion."""
+
+    @pytest.mark.parametrize("n, m", [(0, 12), (1, 6), (2, 12), (30, 360), (97, 2310)])
+    def test_divide_counts_match_inclusion_exclusion(self, n, m):
+        divisors = DivisorLattice(factorize(m)).divisors
+        assert exactdist._divide_counts(n, divisors) == [
+            count_lengths_divide(n, factorize(d)) for d in divisors
+        ]
+
+    def test_negative_count_raises(self, monkeypatch):
+        # Divide-counts in the wrong order make L(1) > L(2), which no
+        # permutation counts can give: E(2) = L(2) - L(1) < 0.
+        real = exactdist._divide_counts
+        monkeypatch.setattr(
+            exactdist, "_divide_counts", lambda n, divisors: real(n, divisors)[::-1]
+        )
+        with pytest.raises(RuntimeError, match="negative count"):
+            order_counts_on_lattice(6, factorize(12))
 
 
 class TestMobiusRoute:
@@ -162,6 +186,30 @@ class TestPExact:
         assert p_exact(5, 7) == 0
         assert p_exact(4, 6) == 0  # 3+2 > 4
         assert p_exact(10, 1024) == 0
+
+    def test_agrees_with_inclusion_exclusion(self):
+        # every m up to 200, achievable or not, including primes beyond n
+        for n in range(1, 13):
+            for m in range(1, 201):
+                expected = count_order_exactly_mobius(n, factorize(m))
+                assert p_exact(n, m) == Fraction(expected, math.factorial(n))
+
+    def test_unachievable_m_is_not_factorized(self, monkeypatch):
+        calls = []
+
+        def recorder(m):
+            calls.append(m)  # and stop: trial division up to sqrt(m) never ends
+            raise AssertionError(f"factorize({m}) was called")
+
+        monkeypatch.setattr(exactdist, "factorize", recorder)
+        monkeypatch.setattr(numtheory, "factorize", recorder)
+        assert p_exact(10, 2**61 - 1) == 0  # a prime > n
+        assert p_exact(10, 7 * (2**61 - 1)) == 0  # a cofactor > n
+        assert p_exact(12, 2**7 * 3) == 0  # 128 + 3 > 12
+        assert p_exact(10, 13) == 0
+        assert calls == []
+        assert p_exact(10, 12) == Fraction(1, 9)  # achievable: factored in place
+        assert calls == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,25 @@ class TestWorkerPooling:
         )
         assert pool_sizes == [2, 3]
 
+    def test_pool_is_capped_at_the_cpu_count(self, pool_sizes, monkeypatch):
+        # 100 000 trials are ten chunks; with three usable CPUs the pool
+        # has three processes, and the hits are those of one process.
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 3)
+        solo = estimate_p(10, 10, trials=100_000, seed=SEED, workers=1)
+        assert estimate_p(10, 10, trials=100_000, seed=SEED, workers=5000) == solo
+        assert estimate_p(10, 10, trials=100_000, seed=SEED, workers=2) == solo
+        assert pool_sizes == [3, 2]
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                            raising=False)
+        monkeypatch.setattr(sampler.os, "cpu_count", lambda: 16)
+        assert sampler._usable_cpus() == 3
+        monkeypatch.delattr(sampler.os, "sched_getaffinity")
+        assert sampler._usable_cpus() == 16
+        monkeypatch.setattr(sampler.os, "cpu_count", lambda: None)
+        assert sampler._usable_cpus() == 1
+
     def test_results_arrive_one_at_a_time(self):
         calls = []
 
