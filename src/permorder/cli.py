@@ -447,21 +447,37 @@ def _cmd_bounds_check(config: CommandConfig) -> tuple[list[dict[str, Any]], int]
     return rows, code
 
 
+def _stored_order(value: Any) -> int:
+    """A witness order as the store writes it: the decimal string of a positive int."""
+    if type(value) is str and value.isascii() and value.isdigit() and value[0] != "0":
+        return int(value)
+    raise TypeError(f"witness is {value!r}")
+
+
 def _cached_row(rec: ResultRecord) -> dict[str, Any] | None:
-    """The output row of a stored mode-location verdict, None for other claims."""
+    """The output row of a stored mode-location verdict, None for other claims.
+
+    Anything the store would not have written raises `StoreError`: a
+    non-bool ``holds``, a non-int ``expected``, witnesses that are not
+    orders, or witnesses present on a verdict that holds (or absent on
+    one that fails).
+    """
     try:
         payload = rec.payload
         if payload["claim"] != CLAIM_MODE_LOCATION:
             return None
         holds = payload["holds"]
-        if not isinstance(holds, bool):
+        if type(holds) is not bool:
             raise TypeError(f"holds is {holds!r}")
-        return {
-            "n": rec.n,
-            "holds": holds,
-            "expected": payload["details"]["expected"],
-            "witnesses": [int(w) for w in payload["witnesses"]],
-        }
+        expected = payload["details"]["expected"]
+        if type(expected) is not int:
+            raise TypeError(f"expected is {expected!r}")
+        if type(payload["witnesses"]) is not list:
+            raise TypeError(f"witnesses is {payload['witnesses']!r}")
+        witnesses = [_stored_order(w) for w in payload["witnesses"]]
+        if holds == bool(witnesses):
+            raise ValueError("witnesses must be nonempty exactly when the claim fails")
+        return {"n": rec.n, "holds": holds, "expected": expected, "witnesses": witnesses}
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"malformed cached verdict for n={rec.n} ({exc!r})") from exc
 

@@ -5,15 +5,19 @@ here is exact: counts are Python ints and probabilities are Fractions
 with denominator n!; no approximate arithmetic appears anywhere in
 this module.
 
-Point counts come by two exact routes.  `order_counts_on_lattice` counts,
-for every divisor d of m, the permutations whose cycle lengths all divide
-d, by a scaled one-state recurrence (`_divide_counts`), and Moebius-inverts
-those counts over the divisor lattice of m.  `count_order_exactly_mobius`
-runs inclusion-exclusion over prime-exponent drops on the falling-factorial
-recursion of `count_lengths_divide`.  The full pmf comes from a partition
-scan over the long cycles merged with a table of the short ones
-(`full_pmf`), and `mode` is read off that exact pmf.  The small-cycle table
-and `count_restricted_cycles` share one scaled cycle-peeling loop, `_peel`.
+Point counts and the small-cycle table of the full pmf share one
+divide-count route.  For every divisor d of some m, a scaled one-state
+recurrence (`_divide_columns`) counts the permutations whose
+cycle lengths all divide d, and Moebius inversion over the divisor lattice
+(`DivisorLattice.mobius_steps`) turns those into exact-order counts.
+`order_counts_on_lattice` runs it over the divisors of m for n labels;
+`_small_cycle_table` runs it over the divisors of lcm(1..t), with cycle
+lengths capped at t, for every label count up to n.  The full pmf comes
+from a partition scan over the cycles longer than t merged with that
+table (`full_pmf`), and `mode` is read off that exact pmf.
+`count_order_exactly_mobius` runs inclusion-exclusion over prime-exponent
+drops on the falling-factorial recursion of `count_lengths_divide`, and
+`count_restricted_cycles` runs that recursion with a cycle-count index.
 The cross-checks that share nothing with these are the inclusion-exclusion
 route, brute-force enumeration (`brute_force_pmf`) and the reference code
 in tests/helpers.py.
@@ -23,10 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .numtheory import DivisorLattice, FactoredInt, factorize, lcm_range, primes_up_to
 
@@ -111,71 +116,25 @@ def count_lengths_divide(n: int, f: FactoredInt) -> int:
     return w[n]
 
 
-def _peel(n: int, moves: list[tuple[int, Sequence[int]]], width: int):
-    """Yield rows 0..n of the scaled cycle-peeling recurrence.
+def _divide_columns(n: int, divisors: Sequence[int], cap: int) -> Iterator[list[int]]:
+    """Yield, for each d listed, the scaled column a[0..n] of its divide-counts.
 
-    Classify a permutation of [nu] by the cycle through its largest label:
-    if it has length j, the other nu-j labels in state s give state
-    comp_j[s].  ``moves`` lists the (j, comp_j) by ascending j, over states
-    0..width-1, and w[nu][s] counts permutations of [nu] in state s (the
-    empty one in state 0).  Instead of multiplying w[nu-j] by the falling
-    factorial (nu-1)...(nu-j+1), rows are scaled to A[nu] = w[nu] * n!/nu!
-    from A[0] = [n!, 0, ...], so that
+    w[nu] counts the permutations of [nu] whose cycle lengths all divide d
+    and are at most ``cap``.  ``divisors`` must be all the divisors of some
+    m, ascending, so those lengths are the listed j <= cap with j | d.
+    This is the cycle peeling of `count_lengths_divide` with w[nu] scaled
+    to a[nu] = w[nu] * n!/nu! from a[0] = n!, so that
 
-        nu * A[nu][s'] = sum over j, and s with comp_j[s] = s', of A[nu-j][s]:
+        nu * a[nu] = sum over allowed j <= nu of a[nu-j]:
 
-    one addition per cell and one division by nu per state, and A[n] = w[n].
-    The division is exact because A[nu] is an integer for nu <= n; a
-    remainder means a broken move table, and raises.
-    """
-    # Row r is dropped after its last read, at step r + max{j : r + j <= n}
-    # (at once if no step reads it): every scaled row is about n! in size.
-    drop_after: list[list[int]] = [[] for _ in range(n + 1)]
-    for r in range(n):
-        drop_after[r + max((j for j, _ in moves if r + j <= n), default=0)].append(r)
-    rows: list[list[int] | None] = [None] * (n + 1)
-    rows[0] = [math.factorial(n)] + [0] * (width - 1)
-    yield rows[0]
-    for nu in range(1, n + 1):
-        row = [0] * width
-        for j, comp in moves:
-            if j > nu:
-                break
-            for di, b in enumerate(rows[nu - j]):
-                if b:
-                    row[comp[di]] += b
-        for di, s in enumerate(row):
-            if s:
-                q, rem = divmod(s, nu)
-                if rem:
-                    raise RuntimeError(
-                        f"internal inconsistency at n={n}: "
-                        f"scaled row {nu} is not divisible by {nu}"
-                    )
-                row[di] = q
-        rows[nu] = row
-        for r in drop_after[nu]:
-            rows[r] = None
-        yield row
-
-
-def _divide_counts(n: int, divisors: Sequence[int]) -> list[int]:
-    """L(d) = #{pi in S_n : every cycle length divides d}, for each d listed.
-
-    ``divisors`` must be all the divisors of some m, ascending.  For each d
-    this is the cycle peeling of `count_lengths_divide` restricted to one
-    state, with rows scaled to a[nu] = w[nu] * n!/nu! from a[0] = n! as in
-    `_peel`, so that
-
-        nu * a[nu] = sum over j | d, j <= nu, of a[nu-j]:
-
-    one addition per cell and one division by nu per row, and a[n] = L(d).
-    A remainder means a broken recurrence, and raises.
+    one addition per cell and one division by nu per row, and a[n] = w[n].
+    The division is exact because a[nu] is an integer for nu <= n; a
+    remainder means a broken recurrence, and raises.
     """
     f_n = math.factorial(n)
-    out = []
+    lengths = [j for j in divisors if j <= cap]
     for d in divisors:
-        js = [j for j in divisors if j <= n and d % j == 0]
+        js = [j for j in lengths if d % j == 0]
         a = [f_n] + [0] * n
         for nu in range(1, n + 1):
             s = 0
@@ -190,8 +149,18 @@ def _divide_counts(n: int, divisors: Sequence[int]) -> list[int]:
                     f"scaled row {nu} is not divisible by {nu}"
                 )
             a[nu] = q
-        out.append(a[n])
-    return out
+        yield a
+
+
+def _divide_counts(n: int, divisors: Sequence[int]) -> list[int]:
+    """L(d) = #{pi in S_n : every cycle length divides d}, for each d listed.
+
+    ``divisors`` must be all the divisors of some m, ascending; L(d) is
+    the last entry of d's column in `_divide_columns`.
+    """
+    # map lets go of each column before the next is built; the loop variable
+    # of a comprehension would keep a second column of about n! sized ints.
+    return list(map(operator.itemgetter(n), _divide_columns(n, divisors, n)))
 
 
 def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
@@ -200,23 +169,18 @@ def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
     L(d), the number of permutations whose cycle lengths all divide d, is
     the sum of the exact-order counts E(d') over d' | d.  So `_divide_counts`
     gives L on the divisor lattice of m = f.value, and Moebius inversion
-    one prime at a time recovers E: for each p | m, over the divisors in
-    descending order, E(d) -= E(d/p) wherever p | d.  That costs
-    sum over d | m of tau(d) additions per label, against tau(m) per cycle
-    length for a DP that carries the running lcm.  A negative E(d) means
-    an inconsistent L, and raises.
+    (`DivisorLattice.mobius_steps`) recovers E.  That costs sum over d | m
+    of tau(d) additions per label, against tau(m) per cycle length for a
+    DP that carries the running lcm.  A negative E(d) means an
+    inconsistent L, and raises.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     lattice = DivisorLattice(f)
     divisors = lattice.divisors
-    index_of = lattice.index_of
     counts = _divide_counts(n, divisors)
-    for p, _ in f.factors:
-        for i in range(len(divisors) - 1, -1, -1):
-            d = divisors[i]
-            if d % p == 0:
-                counts[i] -= counts[index_of(d // p)]
+    for i, k in lattice.mobius_steps():
+        counts[i] -= counts[k]
     for d, c in zip(divisors, counts):
         if c < 0:
             raise RuntimeError(
@@ -334,22 +298,38 @@ def _small_cycle_limit(n: int) -> int:
 def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
     """Row r maps l to #{pi in S_r : all cycles of pi are <= t, ord(pi) = l}.
 
-    The cycle peeling of `_peel` over cycle lengths j <= t, with the lcm
-    so far as a position among the divisors of lcm(1..t).  Its rows are
-    scaled by n!/r!, and each is divided back once.
+    The divide-count route of `order_counts_on_lattice`, taken over the
+    divisors of lcm(1..t) with cycle lengths capped at t: `_divide_columns`
+    gives each divisor's whole column, whose row r is divided back by
+    n!/r!, and `DivisorLattice.mobius_steps` inverts the columns.  Whole
+    columns are inverted at once and each cell is dropped as its row is
+    read, so the table is held about once.  A negative count means an
+    inconsistent column, and raises.
     """
     t = min(t, n)
     lattice = DivisorLattice(factorize(lcm_range(t)))
     divisors = lattice.divisors
-    lcm = math.lcm
-    moves = [
-        (j, [lattice.index_of(lcm(d, j)) for d in divisors]) for j in range(1, t + 1)
-    ]
     f_n = math.factorial(n)
+    scales = [f_n // math.factorial(r) for r in range(n + 1)]
+    cols: list[list] = [
+        [a // s for a, s in zip(col, scales)] for col in _divide_columns(n, divisors, t)
+    ]
+    for i, k in lattice.mobius_steps():
+        cols[i] = [a - b for a, b in zip(cols[i], cols[k])]
     rows = []
-    for r, row in enumerate(_peel(n, moves, len(divisors))):
-        scale = f_n // math.factorial(r)
-        rows.append({divisors[i]: c // scale for i, c in enumerate(row) if c})
+    for r in range(n + 1):
+        row = {}
+        for d, col in zip(divisors, cols):
+            c = col[r]
+            col[r] = None
+            if c:
+                if c < 0:
+                    raise RuntimeError(
+                        f"internal inconsistency at n={n}: "
+                        f"negative count {c} for order {d} on {r} labels"
+                    )
+                row[d] = c
+        rows.append(row)
     return rows
 
 
@@ -399,9 +379,10 @@ def full_pmf(
 ) -> OrderPmf:
     """The complete exact pmf of the order, as counts out of n!.
 
-    Computed by one partition scan with a small-cycle table; the table runs
-    on `_peel`.  The counts must sum to n! and the nonzero keys must equal
-    support(n), which checks the whole result.
+    Computed by one partition scan with a small-cycle table; the table and
+    the point counts share one divide-count route.  The counts must sum to
+    n! and the nonzero keys must equal support(n), which checks the whole
+    result.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -467,8 +448,10 @@ def tail_max(
 def count_restricted_cycles(n: int, cycles: int, allowed: Iterable[int]) -> int:
     """Permutations of [n] with exactly `cycles` cycles, all lengths in `allowed`.
 
-    The cycle peeling of `_peel` with the number of cycles as the state;
-    the last state absorbs every permutation with more than `cycles`.
+    The falling-factorial recursion of `count_lengths_divide` with the
+    number of cycles as a second index: w[nu][c] counts permutations of
+    [nu] with c <= `cycles` cycles, and a cycle of length j through the
+    largest label moves w[nu-j][c] to w[nu][c+1].
     """
     js = sorted(set(allowed))
     for j in js:
@@ -476,10 +459,22 @@ def count_restricted_cycles(n: int, cycles: int, allowed: Iterable[int]) -> int:
             raise ValueError(f"cycle lengths must lie in 1..{n}, got {j}")
     if n < 0 or cycles < 0:
         raise ValueError(f"need n >= 0 and cycles >= 0, got n={n}, cycles={cycles}")
-    add_one = [*range(1, cycles + 2), cycles + 1]
-    for row in _peel(n, [(j, add_one) for j in js], cycles + 2):
-        pass
-    return row[cycles]
+    w = [[1] + [0] * cycles]
+    for nu in range(1, n + 1):
+        row = [0] * (cycles + 1)
+        ff = 1
+        built = 1
+        for j in js:
+            if j > nu:
+                break
+            for i in range(built, j):
+                ff *= nu - i
+            built = j
+            prev = w[nu - j]
+            for c in range(cycles):
+                row[c + 1] += ff * prev[c]
+        w.append(row)
+    return w[n][cycles]
 
 
 @lru_cache(maxsize=None)

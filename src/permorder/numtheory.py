@@ -1,8 +1,12 @@
 """Exact arithmetic-function layer.
 
-Factorizations, divisor lattices with an lcm composition table, lcms of
-initial ranges, the order-forcing k set, and Landau's function. Everything
-is exact integer arithmetic; floats never appear here.
+Factorizations, divisor lattices with their Moebius-inversion order, lcms
+of initial ranges, the order-forcing k set, and Landau's function.
+Everything is exact integer arithmetic; floats never appear here.
+
+`DivisorLattice.lcm_index`, the lattice's lcm composition table, is read
+by no code in this package.  It is kept only because the benchmark's
+tracer (bench/tracing.py) patches `_build_lcm_index` by name.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 __all__ = [
     "FactoredInt",
@@ -104,11 +109,13 @@ def omega(f: FactoredInt) -> int:
 
 
 class DivisorLattice:
-    """All divisors of m, sorted ascending, with pair composition by lcm.
+    """All divisors of m, sorted ascending, with their Moebius-inversion order.
 
     ``lcm_index[i][j]`` is the index of lcm(divisors[i], divisors[j]). The
     dense table is built lazily, on first use, so that plain divisor
-    queries stay linear in tau(m).
+    queries stay linear in tau(m).  No code in this package reads it; it
+    stays only for the by-name patch of `_build_lcm_index` in
+    bench/tracing.py.
     """
 
     def __init__(self, m: FactoredInt):
@@ -128,6 +135,22 @@ class DivisorLattice:
 
     def index_of(self, d: int) -> int:
         return self._pos[d]
+
+    def mobius_steps(self) -> Iterator[tuple[int, int]]:
+        """Index pairs (i, k) for ``values[i] -= values[k]``, run in order.
+
+        If ``values`` lists F(d) = sum of f(d') over d' | d by divisor, the
+        steps leave f(d) in its place.  They invert one prime p at a time:
+        over the divisors in descending order, f(d) -= f(d/p) wherever
+        p | d.  Descending, each d/p is read before this prime reaches it.
+        """
+        divisors = self.divisors
+        pos = self._pos
+        for p, _ in self.m.factors:
+            for i in range(len(divisors) - 1, -1, -1):
+                d = divisors[i]
+                if d % p == 0:
+                    yield i, pos[d // p]
 
     @property
     def lcm_index(self) -> tuple[tuple[int, ...], ...]:

@@ -86,6 +86,8 @@ class ResultRecord:
     def __post_init__(self) -> None:
         if self.kind != KIND:
             raise ValueError(f"unknown record kind {self.kind!r}")
+        if type(self.n) is not int:
+            raise TypeError(f"n must be an int, got {self.n!r}")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
 
@@ -107,7 +109,7 @@ def parse_record_line(line: str) -> ResultRecord:
 
 def _record_from_json(obj: Any) -> ResultRecord:
     version = obj["schema_version"]
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"record has schema_version {version}, this build reads {SCHEMA_VERSION}"
         )

@@ -507,16 +507,29 @@ class TestScanCounterexamples:
         ]
 
     @pytest.mark.parametrize(
-        "payload",
+        "n, payload",
         [
-            "{}",
-            '{"claim":"thm_1_2_mode","details":null,"holds":true,"witnesses":[]}',
-            '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":"yes","witnesses":[]}',
+            ("5", "{}"),
+            ("5", '{"claim":"thm_1_2_mode","details":null,"holds":true,"witnesses":[]}'),
+            ("5", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":"yes","witnesses":[]}'),
+            ("5.0", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":true,"witnesses":[]}'),
+            ("true", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":true,"witnesses":[]}'),
+            ("5", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":true,"witnesses":["5"]}'),
+            ("5", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":false,"witnesses":[]}'),
+            ("5", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":false,"witnesses":[7.0]}'),
+            ("5", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":false,"witnesses":[true]}'),
+            ("5", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":false,"witnesses":["07"]}'),
+            ("5", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":false,"witnesses":[6]}'),
+            ("5", '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":false,"witnesses":"6"}'),
+            ("5", '{"claim":"thm_1_2_mode","details":{"expected":"four"},"holds":true,"witnesses":[]}'),
         ],
-        ids=["empty", "null-details", "string-holds"],
+        ids=["empty", "null-details", "string-holds", "float-n", "bool-n",
+             "holds-with-witnesses", "fails-without-witnesses", "float-witness",
+             "bool-witness", "padded-witness", "int-witness", "string-witnesses",
+             "string-expected"],
     )
-    def test_malformed_cached_verdict_is_store_error(self, capsys, tmp_path, payload):
-        line = f'{{"kind":"verification","n":5,"payload":{payload},"schema_version":1}}'
+    def test_malformed_cached_verdict_is_store_error(self, capsys, tmp_path, n, payload):
+        line = f'{{"kind":"verification","n":{n},"payload":{payload},"schema_version":1}}'
         (tmp_path / "verification.jsonl").write_text(line + "\n")
         code, out, err = run_cli(capsys, "scan-counterexamples", "--n", "5",
                                  "--cache-dir", str(tmp_path))

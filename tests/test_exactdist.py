@@ -322,6 +322,17 @@ class TestSmallCycleKernel:
         with pytest.raises(RuntimeError, match="not divisible"):
             exactdist._small_cycle_table(5, 3)
 
+    def test_negative_count_raises(self, monkeypatch):
+        # Columns in the wrong order put L(12) where L(1) belongs, and on
+        # four labels L(12) > L(6): E(2) = L(6) - L(12) < 0.
+        real = exactdist._divide_columns
+        monkeypatch.setattr(
+            exactdist, "_divide_columns",
+            lambda n, divisors, cap: list(real(n, divisors, cap))[::-1],
+        )
+        with pytest.raises(RuntimeError, match="negative count"):
+            exactdist._small_cycle_table(6, 4)
+
 
 class TestBruteForce:
     def test_frozen_example(self):

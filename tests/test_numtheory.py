@@ -134,6 +134,15 @@ class TestDivisorLattice:
             for j in range(0, len(divs), 3):
                 assert divs[lat.lcm_index[i][j]] == math.lcm(divs[i], divs[j])
 
+    def test_mobius_steps_invert_divisor_sums(self):
+        for m in (1, 12, 97, 360, 2520, 2**5 * 3**3):
+            divs = DivisorLattice(factorize(m)).divisors
+            f = [d * d + 7 * (d % 5) for d in divs]
+            values = [sum(fe for e, fe in zip(divs, f) if d % e == 0) for d in divs]
+            for i, k in DivisorLattice(factorize(m)).mobius_steps():
+                values[i] -= values[k]
+            assert values == f
+
 
 class TestLcmRange:
     def test_frozen_values(self):

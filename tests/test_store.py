@@ -77,6 +77,11 @@ class TestRecordShape:
         with pytest.raises(ValueError):
             ResultRecord(schema_version=SCHEMA_VERSION, kind="bogus", n=3, payload={})
 
+    @pytest.mark.parametrize("n", [5.0, True, "5"])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(TypeError):
+            ResultRecord(schema_version=SCHEMA_VERSION, kind=KIND, n=n, payload={})
+
     def test_serialization_is_canonical(self):
         rec = ResultRecord(
             schema_version=SCHEMA_VERSION,
@@ -167,6 +172,13 @@ class TestStoreRoundTrip:
             fh.write(line + "\n")
         with pytest.raises(SchemaVersionError):
             store.load()
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_rejects_non_int_schema_on_load(self, tmp_path, version):
+        line = json.dumps({"kind": KIND, "n": 6, "payload": {}, "schema_version": version})
+        (tmp_path / "verification.jsonl").write_text(line + "\n")
+        with pytest.raises(SchemaVersionError):
+            ResultStore(tmp_path).load()
 
 
 class TestTornWriteRecovery:
