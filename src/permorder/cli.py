@@ -7,6 +7,14 @@ and JSON outputs carry identical numeric content, with exact rationals
 rendered as ``p/q`` strings so values round-trip losslessly.  Progress
 and diagnostics go to stderr.
 
+Each subparser carries its handler, which reads the argparse namespace
+directly.  Between parsing and the handler, ``main`` makes the checks
+argparse cannot (the ``--n`` range, then ``--trials`` and ``--threads``
+at least 1) and fills in the default cache directory.  A handler raises
+``ValueError`` for a rule of its own subcommand: a single n, ``--m``
+with ``sample p`` only, the ``bounds-check`` limit.  Stored verdicts are
+written and read back by ``store`` alone.
+
 Exit codes: 0 success (and, for checking commands, every claim holds);
 3 the run completed but found counterexamples; 2 usage error;
 1 internal or resource error (the message names the exceeded budget)
@@ -22,7 +30,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -60,9 +67,10 @@ from .store import (
     frac_str,
     jsonify,
     verification_record,
+    verification_report,
 )
 
-__all__ = ["CommandConfig", "main", "parse_range", "run"]
+__all__ = ["main", "parse_range"]
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -74,7 +82,7 @@ _ENV_CACHE = "PERMORDER_CACHE_DIR"
 _BOUNDS_MAX_N = 9  # the joint (cycles, order) oracle enumerates permutations
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     """Raised in place of argparse's sys.exit so main can return 2."""
 
 
@@ -105,46 +113,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    """Validated invocation: one subcommand plus every knob it may use."""
-
-    subcommand: str
-    n_range: tuple[int, int]
-    m: int | None = None
-    eps: Fraction | None = None
-    claim: str | None = None
-    target: str | None = None
-    k: int = 0
-    trials: int = 10_000
-    seed: int | None = None
-    threads: int = 1
-    fmt: str = "table"
-    cache_dir: Path | None = None
-
-    def __post_init__(self) -> None:
-        lo, hi = self.n_range
-        if lo < 1 or hi < lo:
-            raise ValueError("n range must satisfy 1 <= lo <= hi")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"format must be one of {', '.join(_FORMATS)}")
-
-    @property
-    def single_n(self) -> int:
-        lo, hi = self.n_range
-        if lo != hi:
-            raise ValueError(f"{self.subcommand} takes a single n, not a range")
-        return lo
-
-    def ns(self) -> range:
-        lo, hi = self.n_range
-        return range(lo, hi + 1)
-
-
 @lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The argument parser, built on the first `main` call and then reused.
@@ -155,8 +123,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="permorder", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
 
-    def add(name: str, help_text: str, *, threads: bool = False) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler: Callable, *,
+            threads: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--n", required=True, metavar="N|A..B",
                        help="permutation size, or inclusive range A..B")
         p.add_argument("--format", dest="fmt", default="table", choices=_FORMATS)
@@ -165,26 +135,30 @@ def _build_parser() -> _Parser:
                            help="worker processes (default 1)")
         return p
 
-    add("kn", "forcing offsets k with lcm(1..k) dividing n-k")
-    add("landau", "largest achievable order g(n)")
-    add("pmf", "full exact distribution of the order for one n")
-    add("mode", "most likely order, its count and probability", threads=True)
-    add("collision", "probability two independent orders coincide")
+    add("kn", "forcing offsets k with lcm(1..k) dividing n-k", _cmd_kn)
+    add("landau", "largest achievable order g(n)", _cmd_landau)
+    add("pmf", "full exact distribution of the order for one n", _cmd_pmf)
+    add("mode", "most likely order, its count and probability", _cmd_mode,
+        threads=True)
+    add("collision", "probability two independent orders coincide", _cmd_collision)
 
-    eta = add("eta-check", "exact vs predicted point probability at offset k")
+    eta = add("eta-check", "exact vs predicted point probability at offset k",
+              _cmd_eta_check)
     eta.add_argument("--k", type=int, default=0, help="forcing offset (default 0)")
 
-    ver = add("verify", "check one claim over a range of n", threads=True)
+    ver = add("verify", "check one claim over a range of n", _cmd_verify,
+              threads=True)
     ver.add_argument("claim", choices=("thm11", "thm12", "ineq"),
                      help="which claim to check")
 
     tail = add("tail-max",
-               "most likely order among m >= n^(1+eps); ties go to the smallest m")
+               "most likely order among m >= n^(1+eps); ties go to the smallest m",
+               _cmd_tail_max)
     tail.add_argument("--eps", type=_fraction, required=True,
                       help="positive rational exponent offset, e.g. 1/10")
 
     samp = add("sample", "Monte Carlo estimates from random cycle types",
-               threads=True)
+               _cmd_sample, threads=True)
     samp.add_argument("target", choices=("p", "collision"),
                       help="estimate P(order = m), or the collision probability")
     samp.add_argument("--m", type=int, default=None, help="order (target p only)")
@@ -192,39 +166,23 @@ def _build_parser() -> _Parser:
     samp.add_argument("--seed", type=int, default=None,
                       help="RNG seed (default: fresh entropy, echoed in output)")
 
-    add("bounds-check", "exhaustive small-n check that every bound dominates")
+    add("bounds-check", "exhaustive small-n check that every bound dominates",
+        _cmd_bounds_check)
 
     scan = add("scan-counterexamples",
                "find n where the most likely order is not n - max(offsets)",
-               threads=True)
+               _cmd_scan, threads=True)
     scan.add_argument("--cache-dir", type=Path, default=None,
                       help=f"result store directory (default ${_ENV_CACHE})")
 
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> CommandConfig:
-    cache = getattr(ns, "cache_dir", None)
-    if cache is None:
-        env = os.environ.get(_ENV_CACHE)
-        cache = Path(env) if env else None
-    return CommandConfig(
-        subcommand=ns.subcommand,
-        n_range=parse_range(ns.n),
-        m=getattr(ns, "m", None),
-        eps=getattr(ns, "eps", None),
-        claim=getattr(ns, "claim", None),
-        target=getattr(ns, "target", None),
-        k=getattr(ns, "k", 0),
-        trials=getattr(ns, "trials", 10_000),
-        seed=getattr(ns, "seed", None),
-        threads=getattr(ns, "threads", 1),
-        fmt=getattr(ns, "fmt", "table"),
-        cache_dir=cache,
-    )
-
-
 def _default_cache_dir() -> Path:
+    """$PERMORDER_CACHE_DIR, else $XDG_CACHE_HOME/permorder, else ~/.cache/permorder."""
+    env = os.environ.get(_ENV_CACHE)
+    if env:
+        return Path(env)
     base = os.environ.get("XDG_CACHE_HOME")
     root = Path(base) if base else Path.home() / ".cache"
     return root / "permorder"
@@ -256,15 +214,15 @@ def _table_cell(value: Any) -> str:
     return _csv_cell(value)
 
 
-def _emit(config: CommandConfig, rows: list[dict[str, Any]]) -> None:
+def _emit(args: argparse.Namespace, rows: list[dict[str, Any]]) -> None:
     out = sys.stdout
-    if config.fmt == "json":
-        doc = jsonify({"command": config.subcommand, "rows": rows})
+    if args.fmt == "json":
+        doc = jsonify({"command": args.subcommand, "rows": rows})
         print(json.dumps(doc, separators=(",", ":")), file=out)
         return
     if not rows:
         return
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(rows[0].keys())
         for row in rows:
@@ -336,12 +294,19 @@ def _bounds_row(n: int) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands (each reads the namespace `main` has checked; ``args.n`` is
+# the range of n)
 
 
-def _cmd_kn(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
+def _single_n(args: argparse.Namespace) -> int:
+    if len(args.n) != 1:
+        raise ValueError(f"{args.subcommand} takes a single n, not a range")
+    return args.n[0]
+
+
+def _cmd_kn(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
     rows = []
-    for n in config.ns():
+    for n in args.n:
         forcing = compute_forcing_set(n)
         rows.append(
             {"n": n, "members": list(forcing.members), "max_k": forcing.max_k}
@@ -349,12 +314,12 @@ def _cmd_kn(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
     return rows, EXIT_OK
 
 
-def _cmd_landau(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    return [{"n": n, "g": landau_g(n)} for n in config.ns()], EXIT_OK
+def _cmd_landau(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
+    return [{"n": n, "g": landau_g(n)} for n in args.n], EXIT_OK
 
 
-def _cmd_pmf(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    pmf = full_pmf(config.single_n)
+def _cmd_pmf(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
+    pmf = full_pmf(_single_n(args))
     rows = [
         {"m": m, "count": str(count), "prob": pmf.prob(m)}
         for m, count in sorted(pmf.entries.items())
@@ -362,22 +327,22 @@ def _cmd_pmf(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
     return rows, EXIT_OK
 
 
-def _cmd_mode(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    return list(_pooled(_mode_row, config.ns(), config.threads)), EXIT_OK
+def _cmd_mode(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
+    return list(_pooled(_mode_row, args.n, args.threads)), EXIT_OK
 
 
-def _cmd_collision(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
+def _cmd_collision(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
     rows = []
-    for n in config.ns():
+    for n in args.n:
         norm = collision_norm(n)
         rows.append({"n": n, "norm": norm, "scaled": norm * n * n})
     return rows, EXIT_OK
 
 
-def _cmd_eta_check(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    k = config.k
+def _cmd_eta_check(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
+    k = args.k
     rows = []
-    for n in config.ns():
+    for n in args.n:
         if k not in compute_forcing_set(n).members:
             print(f"eta-check: skipping n={n} (k={k} is not a forcing offset)",
                   file=sys.stderr)
@@ -396,8 +361,8 @@ def _cmd_eta_check(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
     return rows, EXIT_OK
 
 
-def _cmd_verify(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    reports = list(_pooled(_VERIFY_FNS[config.claim], config.ns(), config.threads))
+def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
+    reports = list(_pooled(_VERIFY_FNS[args.claim], args.n, args.threads))
     rows = [
         {"n": r.n, "holds": r.holds, "witnesses": list(r.witnesses)}
         for r in reports
@@ -406,24 +371,26 @@ def _cmd_verify(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
     return rows, code
 
 
-def _cmd_tail_max(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    n = config.single_n
-    hit = tail_max(n, config.eps)
+def _cmd_tail_max(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
+    n = _single_n(args)
+    hit = tail_max(n, args.eps)
     m, prob = hit if hit is not None else (None, None)
-    return [{"n": n, "eps": config.eps, "m": m, "prob": prob}], EXIT_OK
+    return [{"n": n, "eps": args.eps, "m": m, "prob": prob}], EXIT_OK
 
 
-def _cmd_sample(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    n = config.single_n
-    seed = config.seed
+def _cmd_sample(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
+    n = _single_n(args)
+    if args.target == "p" and args.m is None:
+        raise ValueError("sample p requires --m")
+    if args.target == "collision" and args.m is not None:
+        raise ValueError("sample collision does not take --m")
+    seed = args.seed
     if seed is None:
         seed = random.SystemRandom().getrandbits(64)
-    if config.target == "p":
-        if config.m is None:
-            raise ValueError("sample p requires --m")
-        record = estimate_p(n, config.m, config.trials, seed, config.threads)
+    if args.target == "p":
+        record = estimate_p(n, args.m, args.trials, seed, args.threads)
     else:
-        record = estimate_collision(n, config.trials, seed, config.threads)
+        record = estimate_collision(n, args.trials, seed, args.threads)
     row = {
         "target": record.target,
         "n": record.n,
@@ -436,119 +403,71 @@ def _cmd_sample(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
     return [row], EXIT_OK
 
 
-def _cmd_bounds_check(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    lo, hi = config.n_range
-    if hi > _BOUNDS_MAX_N:
+def _cmd_bounds_check(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
+    if args.n[-1] > _BOUNDS_MAX_N:
         raise ValueError(
             f"bounds-check enumerates all permutations; n must be <= {_BOUNDS_MAX_N}"
         )
-    rows = [_bounds_row(n) for n in config.ns()]
+    rows = [_bounds_row(n) for n in args.n]
     code = EXIT_OK if all(r["violations"] == 0 for r in rows) else EXIT_COUNTEREXAMPLES
     return rows, code
 
 
-def _stored_order(value: Any) -> int:
-    """A witness order as the store writes it: the decimal string of a positive int."""
-    if type(value) is str and value.isascii() and value.isdigit() and value[0] != "0":
-        return int(value)
-    raise TypeError(f"witness is {value!r}")
+def _scan_row(record: ResultRecord) -> dict[str, Any] | None:
+    """The output row of a stored mode-location verdict, None for other claims."""
+    report = verification_report(record)
+    if report.claim != CLAIM_MODE_LOCATION:
+        return None
+    return {
+        "n": report.n,
+        "holds": report.holds,
+        "expected": report.details["expected"],
+        "witnesses": list(report.witnesses),
+    }
 
 
-def _cached_row(rec: ResultRecord) -> dict[str, Any] | None:
-    """The output row of a stored mode-location verdict, None for other claims.
-
-    Anything the store would not have written raises `StoreError`: a
-    non-bool ``holds``, a non-int ``expected``, witnesses that are not
-    orders, or witnesses present on a verdict that holds (or absent on
-    one that fails).
-    """
-    try:
-        payload = rec.payload
-        if payload["claim"] != CLAIM_MODE_LOCATION:
-            return None
-        holds = payload["holds"]
-        if type(holds) is not bool:
-            raise TypeError(f"holds is {holds!r}")
-        expected = payload["details"]["expected"]
-        if type(expected) is not int:
-            raise TypeError(f"expected is {expected!r}")
-        if type(payload["witnesses"]) is not list:
-            raise TypeError(f"witnesses is {payload['witnesses']!r}")
-        witnesses = [_stored_order(w) for w in payload["witnesses"]]
-        if holds == bool(witnesses):
-            raise ValueError("witnesses must be nonempty exactly when the claim fails")
-        return {"n": rec.n, "holds": holds, "expected": expected, "witnesses": witnesses}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"malformed cached verdict for n={rec.n} ({exc!r})") from exc
-
-
-def _cmd_scan(config: CommandConfig) -> tuple[list[dict[str, Any]], int]:
-    lo, hi = config.n_range
-    store = ResultStore(config.cache_dir or _default_cache_dir())
+def _cmd_scan(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
+    lo, hi = args.n[0], args.n[-1]
+    store = ResultStore(args.cache_dir)
     rows_by_n: dict[int, dict[str, Any]] = {}
     for rec in store.load(lo, hi):
-        row = _cached_row(rec)
+        row = _scan_row(rec)
         if row is not None:
             rows_by_n[rec.n] = row
-    todo = [n for n in config.ns() if n not in rows_by_n]
+    todo = [n for n in args.n if n not in rows_by_n]
     print(f"scan {lo}..{hi}: {len(rows_by_n)} cached, {len(todo)} to compute",
           file=sys.stderr)
 
-    for report in _pooled(verify_mode_location, todo, config.threads):
-        store.append(verification_record(report))
+    for report in _pooled(verify_mode_location, todo, args.threads):
+        record = verification_record(report)
+        store.append(record)
         verdict = (
             "holds"
             if report.holds
             else f"COUNTEREXAMPLE argmax={list(report.witnesses)}"
         )
         print(f"n={report.n}: {verdict}", file=sys.stderr)
-        rows_by_n[report.n] = {
-            "n": report.n,
-            "holds": report.holds,
-            "expected": report.details["expected"],
-            "witnesses": list(report.witnesses),
-        }
+        rows_by_n[report.n] = _scan_row(record)
 
     rows = [rows_by_n[n] for n in sorted(rows_by_n)]
     code = EXIT_OK if all(r["holds"] for r in rows) else EXIT_COUNTEREXAMPLES
     return rows, code
 
 
-_HANDLERS: dict[str, Callable[[CommandConfig], tuple[list[dict[str, Any]], int]]] = {
-    "kn": _cmd_kn,
-    "landau": _cmd_landau,
-    "pmf": _cmd_pmf,
-    "mode": _cmd_mode,
-    "collision": _cmd_collision,
-    "eta-check": _cmd_eta_check,
-    "verify": _cmd_verify,
-    "tail-max": _cmd_tail_max,
-    "sample": _cmd_sample,
-    "bounds-check": _cmd_bounds_check,
-    "scan-counterexamples": _cmd_scan,
-}
-
-
-def run(config: CommandConfig) -> int:
-    """Execute one validated command, emit its rows, return the exit code."""
-    rows, code = _HANDLERS[config.subcommand](config)
-    _emit(config, rows)
-    return code
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        namespace = parser.parse_args(argv)
-        config = _config_from_args(namespace)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return run(config)
+        args = _build_parser().parse_args(argv)
+        lo, hi = parse_range(args.n)
+        args.n = range(lo, hi + 1)
+        if "trials" in args and args.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if "threads" in args and args.threads < 1:
+            raise ValueError("threads must be >= 1")
+        if "cache_dir" in args and args.cache_dir is None:
+            args.cache_dir = _default_cache_dir()
+        rows, code = args.handler(args)
+        _emit(args, rows)
+        return code
     except BudgetExceededError as exc:
         print(f"resource limit exceeded: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -133,9 +133,6 @@ class DivisorLattice:
         self._pos = {d: i for i, d in enumerate(divs)}
         self._lcm_index: tuple[tuple[int, ...], ...] | None = None
 
-    def index_of(self, d: int) -> int:
-        return self._pos[d]
-
     def mobius_steps(self) -> Iterator[tuple[int, int]]:
         """Index pairs (i, k) for ``values[i] -= values[k]``, run in order.
 

@@ -8,6 +8,11 @@ version, and integers that may exceed the double-precision range are
 stored as decimal strings so every value survives a round trip byte for
 byte.
 
+This module alone knows the verdict payload: `verification_record`
+writes a `VerificationReport` as a record and `verification_report`
+reads it back, rejecting with ``StoreError`` anything the writer could
+not have produced.
+
 Crash tolerance is deliberately minimal: a write interrupted mid-line
 leaves a torn final record, which ``load`` repairs by truncating the file
 back to the last complete record and logging a warning.  ``append`` reads
@@ -30,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
-from .asymptotics import VerificationReport
+from .asymptotics import CLAIM_MODE_LOCATION, VerificationReport
 
 __all__ = [
     "KIND",
@@ -41,10 +46,9 @@ __all__ = [
     "StoreError",
     "frac_str",
     "jsonify",
-    "parse_frac",
-    "parse_record_line",
     "serialize_record",
     "verification_record",
+    "verification_report",
 ]
 
 logger = logging.getLogger(__name__)
@@ -67,11 +71,6 @@ class SchemaVersionError(StoreError):
 def frac_str(value: Fraction) -> str:
     """Render a rational as ``numerator/denominator``, always with the slash."""
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_frac(text: str) -> Fraction:
-    """Inverse of :func:`frac_str`."""
-    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,6 @@ def serialize_record(record: ResultRecord) -> str:
         "payload": record.payload,
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def parse_record_line(line: str) -> ResultRecord:
-    return _record_from_json(json.loads(line))
 
 
 def _record_from_json(obj: Any) -> ResultRecord:
@@ -153,6 +148,38 @@ def verification_record(report: VerificationReport) -> ResultRecord:
         "details": jsonify(report.details),
     }
     return ResultRecord(SCHEMA_VERSION, KIND, report.n, payload)
+
+
+def verification_report(record: ResultRecord) -> VerificationReport:
+    """Inverse of `verification_record`: the report a stored verdict holds.
+
+    ``details`` come back in their stored JSON form.  Anything
+    `verification_record` would not have written raises `StoreError`: a
+    non-bool ``holds``, a witness that is not the decimal string of a
+    positive int, an unknown claim tag or witnesses that do not match
+    ``holds`` (both checked by `VerificationReport`), or a mode-location
+    verdict without the int ``expected`` order that
+    ``scan-counterexamples`` reports.
+    """
+    try:
+        payload = record.payload
+        holds = payload["holds"]
+        if type(holds) is not bool:
+            raise TypeError(f"holds is {holds!r}")
+        witnesses = payload["witnesses"]
+        if type(witnesses) is not list:
+            raise TypeError(f"witnesses is {witnesses!r}")
+        for w in witnesses:
+            if not (type(w) is str and w.isascii() and w.isdigit() and w[0] != "0"):
+                raise TypeError(f"witness is {w!r}")
+        details = payload["details"]
+        if payload["claim"] == CLAIM_MODE_LOCATION and type(details["expected"]) is not int:
+            raise TypeError(f"expected is {details['expected']!r}")
+        return VerificationReport(
+            record.n, payload["claim"], holds, tuple(map(int, witnesses)), details
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"malformed cached verdict for n={record.n} ({exc!r})") from exc
 
 
 def _os_errors_as_store_errors(method):

@@ -23,9 +23,19 @@ import pytest
 
 import helpers
 from permorder import cli, sampler
-from permorder.asymptotics import prediction_residual
-from permorder.cli import CommandConfig, main, parse_range
-from permorder.store import ResultStore
+from permorder.asymptotics import (
+    prediction_residual,
+    verify_gap_inequality,
+    verify_mode_location,
+    verify_near_max_form,
+)
+from permorder.cli import main, parse_range
+from permorder.store import (
+    ResultStore,
+    serialize_record,
+    verification_record,
+    verification_report,
+)
 
 
 def run_cli(capsys, *argv):
@@ -55,20 +65,6 @@ class TestParseRange:
                 parse_range(bad)
 
 
-class TestCommandConfig:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            CommandConfig(subcommand="mode", n_range=(5, 4))
-        with pytest.raises(ValueError):
-            CommandConfig(subcommand="mode", n_range=(0, 4))
-        with pytest.raises(ValueError):
-            CommandConfig(subcommand="mode", n_range=(3, 3), trials=0)
-        with pytest.raises(ValueError):
-            CommandConfig(subcommand="mode", n_range=(3, 3), fmt="yaml")
-        with pytest.raises(ValueError):
-            CommandConfig(subcommand="mode", n_range=(3, 3), threads=0)
-
-
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
@@ -90,6 +86,13 @@ class TestUsageErrors:
     def test_sample_p_requires_m(self, capsys):
         code, _, _ = run_cli(capsys, "sample", "p", "--n", "3", "--trials", "10")
         assert code == 2
+
+    def test_sample_collision_rejects_m(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "collision", "--n", "3", "--m", "2",
+                                 "--trials", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:")
+        assert "--m" in err
 
     def test_range_where_single_n_required(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--n", "3..5")
@@ -501,6 +504,38 @@ class TestScanCounterexamples:
                                  "--cache-dir", str(tmp_path), "--format", "json")
         assert code == 3
         assert "2 cached, 0 to compute" in err
+        assert json_rows(out) == [
+            {"n": 5, "holds": True, "expected": 4, "witnesses": []},
+            {"n": 6, "holds": False, "expected": 4, "witnesses": [6]},
+        ]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_warm_output_matches_cold(self, capsys, tmp_path, fmt):
+        argv = ("scan-counterexamples", "--n", "2..12", "--cache-dir", str(tmp_path),
+                "--format", fmt)
+        cold_code, cold_out, _ = run_cli(capsys, *argv)
+        warm_code, warm_out, warm_err = run_cli(capsys, *argv)
+        assert warm_err == "scan 2..12: 11 cached, 0 to compute\n"
+        assert cold_code == warm_code == 3
+        assert warm_out == cold_out
+
+    def test_scanned_lines_reencode_byte_for_byte(self, capsys, tmp_path):
+        run_cli(capsys, "scan-counterexamples", "--n", "2..12", "--cache-dir", str(tmp_path))
+        lines = (tmp_path / "verification.jsonl").read_text().splitlines()
+        records = ResultStore(tmp_path).load()
+        assert len(records) == len(lines) == 11
+        again = [verification_record(verification_report(r)) for r in records]
+        assert [serialize_record(r) for r in again] == lines
+
+    def test_records_of_other_claims_are_skipped(self, capsys, tmp_path):
+        store = ResultStore(tmp_path)
+        for report in (verify_near_max_form(5), verify_gap_inequality(6),
+                       verify_mode_location(6)):
+            store.append(verification_record(report))
+        code, out, err = run_cli(capsys, "scan-counterexamples", "--n", "5..6",
+                                 "--cache-dir", str(tmp_path), "--format", "json")
+        assert code == 3
+        assert "1 cached, 1 to compute" in err
         assert json_rows(out) == [
             {"n": 5, "holds": True, "expected": 4, "witnesses": []},
             {"n": 6, "holds": False, "expected": 4, "witnesses": [6]},

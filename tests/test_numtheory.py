@@ -117,7 +117,7 @@ class TestDivisorLattice:
             lat = DivisorLattice(factorize(m))
             divs = lat.divisors
             table = lat.lcm_index
-            one = lat.index_of(1)
+            one = divs.index(1)
             for i, a in enumerate(divs):
                 assert table[one][i] == i  # 1 is the identity
                 assert table[i][i] == i  # idempotent

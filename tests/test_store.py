@@ -16,7 +16,11 @@ import pytest
 
 import helpers
 from permorder import store as store_module
-from permorder.asymptotics import verify_mode_location
+from permorder.asymptotics import (
+    verify_gap_inequality,
+    verify_mode_location,
+    verify_near_max_form,
+)
 from permorder.store import (
     KIND,
     SCHEMA_VERSION,
@@ -26,10 +30,9 @@ from permorder.store import (
     StoreError,
     frac_str,
     jsonify,
-    parse_frac,
-    parse_record_line,
     serialize_record,
     verification_record,
+    verification_report,
 )
 
 def verdict(n: int, tag: str = "") -> ResultRecord:
@@ -44,9 +47,12 @@ class TestFracStrings:
         assert frac_str(Fraction(0)) == "0/1"
         assert frac_str(Fraction(-2, 3)) == "-2/3"
 
-    def test_round_trip(self):
-        for fr in (Fraction(7, 18), Fraction(0), Fraction(10**50, 3)):
-            assert parse_frac(frac_str(fr)) == fr
+    def test_round_trip(self, tmp_path):
+        fracs = [Fraction(7, 18), Fraction(0), Fraction(10**50, 3)]
+        store = ResultStore(tmp_path)
+        store.append(ResultRecord(SCHEMA_VERSION, KIND, 3, jsonify({"fracs": fracs})))
+        (loaded,) = store.load()
+        assert [Fraction(text) for text in loaded.payload["fracs"]] == fracs
 
 
 class TestJsonify:
@@ -61,15 +67,17 @@ class TestJsonify:
         with pytest.raises(TypeError):
             jsonify(object())
 
-    def test_huge_counts_survive_round_trip(self):
+    def test_huge_counts_survive_round_trip(self, tmp_path):
         count = math.factorial(100) - 1
         rec = ResultRecord(
             SCHEMA_VERSION, KIND, 100, jsonify({"claim": "c", "count": count})
         )
-        line = serialize_record(rec)
-        parsed = parse_record_line(line)
+        store = ResultStore(tmp_path)
+        store.append(rec)
+        (parsed,) = store.load()
         assert int(parsed.payload["count"]) == count
-        assert serialize_record(parsed) == line
+        line = (tmp_path / "verification.jsonl").read_text()
+        assert line == serialize_record(parsed) + "\n"
 
 
 class TestRecordShape:
@@ -82,7 +90,7 @@ class TestRecordShape:
         with pytest.raises(TypeError):
             ResultRecord(schema_version=SCHEMA_VERSION, kind=KIND, n=n, payload={})
 
-    def test_serialization_is_canonical(self):
+    def test_serialization_is_canonical(self, tmp_path):
         rec = ResultRecord(
             schema_version=SCHEMA_VERSION,
             kind=KIND,
@@ -90,7 +98,10 @@ class TestRecordShape:
             payload={"b": "2", "a": "1"},
         )
         line = serialize_record(rec)
-        assert line == serialize_record(parse_record_line(line))
+        store = ResultStore(tmp_path)
+        store.append(rec)
+        assert store.load() == [rec]
+        assert (tmp_path / "verification.jsonl").read_text() == line + "\n"
         assert "\n" not in line
         assert json.loads(line)["kind"] == "verification"
         # keys sorted, no whitespace
@@ -105,6 +116,37 @@ class TestBuilders:
         assert rec.payload["claim"] == "thm_1_2_mode"
         assert rec.payload["holds"] is False
         assert rec.payload["witnesses"] == ["6"]
+
+
+class TestVerdictRoundTrip:
+    """`verification_report` is the inverse of `verification_record`."""
+
+    def test_stored_lines_reencode_byte_for_byte(self, tmp_path):
+        lines = helpers.STORED_VERDICT_LINES
+        (tmp_path / "verification.jsonl").write_text("\n".join(lines) + "\n")
+        records = ResultStore(tmp_path).load()
+        again = [verification_record(verification_report(r)) for r in records]
+        assert [serialize_record(r) for r in again] == list(lines)
+
+    @pytest.mark.parametrize(
+        "verify", [verify_mode_location, verify_near_max_form, verify_gap_inequality]
+    )
+    def test_every_claim_decodes_to_its_report(self, verify):
+        for n in (5, 6, 12):
+            report = verify(n)
+            record = verification_record(report)
+            decoded = verification_report(record)
+            assert (decoded.n, decoded.claim, decoded.holds, decoded.witnesses) == (
+                report.n, report.claim, report.holds, report.witnesses
+            )
+            assert decoded.details == record.payload["details"]
+            assert verification_record(decoded) == record
+
+    @pytest.mark.parametrize("claim", ["thm_99", None, ["thm_1_2_mode"]])
+    def test_unknown_claim_is_store_error(self, claim):
+        payload = {"claim": claim, "holds": True, "witnesses": [], "details": None}
+        with pytest.raises(StoreError, match="malformed cached verdict for n=5"):
+            verification_report(ResultRecord(SCHEMA_VERSION, KIND, 5, payload))
 
 
 class TestStoreRoundTrip:
