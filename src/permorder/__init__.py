@@ -33,6 +33,7 @@ from .numtheory import (
     compute_forcing_set,
     factorize,
     landau_g,
+    landau_table,
 )
 from .sampler import (
     CycleType,
@@ -69,6 +70,7 @@ __all__ = [
     "fit_log_slope",
     "full_pmf",
     "landau_g",
+    "landau_table",
     "mode",
     "p_exact",
     "predicted_point_prob",

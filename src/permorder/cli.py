@@ -58,7 +58,7 @@ from .exactdist import (
     support,
     tail_max,
 )
-from .numtheory import DivisorLattice, compute_forcing_set, factorize, landau_g
+from .numtheory import DivisorLattice, compute_forcing_set, factorize, landau_table
 from .sampler import _pooled, estimate_collision, estimate_p
 from .store import (
     ResultRecord,
@@ -315,7 +315,9 @@ def _cmd_kn(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
 
 
 def _cmd_landau(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
-    return [{"n": n, "g": landau_g(n)} for n in args.n], EXIT_OK
+    # One knapsack for the top of the range holds g(n) for every n below it.
+    g = landau_table(args.n[-1])
+    return [{"n": n, "g": g[n]} for n in args.n], EXIT_OK
 
 
 def _cmd_pmf(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:

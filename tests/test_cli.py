@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from permorder import cli, sampler
+from permorder import cli, numtheory, sampler
 from permorder.asymptotics import (
     prediction_residual,
     verify_gap_inequality,
@@ -178,6 +178,27 @@ class TestLandau:
         code, out, _ = run_cli(capsys, "landau", "--n", "1..8", "--format", "json")
         assert code == 0
         assert [r["g"] for r in json_rows(out)] == [1, 2, 3, 4, 6, 6, 12, 15]
+
+    def test_range_runs_one_knapsack(self, capsys, monkeypatch):
+        tops = []
+        real = cli.landau_table
+        monkeypatch.setattr(cli, "landau_table", lambda n: tops.append(n) or real(n))
+        code, out, _ = run_cli(capsys, "landau", "--n", "1..300", "--format", "json")
+        assert code == 0
+        assert tops == [300]
+        rows = json_rows(out)
+        assert [r["n"] for r in rows] == list(range(1, 301))
+        # g(n) past 2**53 is written as a decimal string
+        assert [int(r["g"]) for r in rows] == [numtheory.landau_g(n) for n in range(1, 301)]
+
+    def test_past_budget_exits_1_before_the_knapsack(self, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(numtheory, "primes_up_to", lambda n: started.append(n) or [])
+        code, out, err = run_cli(capsys, "landau", "--n", "1000000")
+        assert code == 1
+        assert err.startswith("resource limit exceeded:")
+        assert out == ""
+        assert started == []
 
 
 class TestPmf:

@@ -7,6 +7,7 @@ engine was implemented; the oracles never share code with the engine.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -332,6 +333,70 @@ class TestSmallCycleKernel:
         )
         with pytest.raises(RuntimeError, match="negative count"):
             exactdist._small_cycle_table(6, 4)
+
+
+# sha256 of repr(sorted(full_pmf(n).entries.items())), frozen from the
+# kernel that merged every walk node with its table row one by one.
+FULL_PMF_DIGESTS = {
+    72: "abe34dfcd7b4a34466dddf2a94ef99f74e2a5b0e97a912678b60d270281bbc9b",
+    84: "35f5a8de7d90454993fc3fd79587e5e1a466c52ab74c14956fc91bb7ddc4e88b",
+    90: "836cb2f850c5f1c9520561af8ec79e538db0edabf1b4d7ef421a0fe60d090c11",
+    100: "aaa17b9b37da7f8efaf50137360ce798a054b20e5c88c54b3a093efb7acfbebf",
+    120: "39d54a88a216d2f6f282156f2e740216d6d8080418de66510f9c42522d261d91",
+}
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Record the (n, t) of every small-cycle table built, from an empty slot."""
+    builds: list[tuple[int, int]] = []
+    real = exactdist._small_cycle_table
+
+    def counted(n: int, t: int) -> list[dict[int, int]]:
+        builds.append((n, t))
+        return real(n, t)
+
+    monkeypatch.setattr(exactdist, "_small_cycle_table", counted)
+    exactdist._TABLE_SLOT.clear()
+    exactdist._full_counts.cache_clear()
+    yield builds
+    exactdist._TABLE_SLOT.clear()
+    exactdist._full_counts.cache_clear()
+
+
+class TestGroupedMergeAndTableSlot:
+    @pytest.mark.parametrize("n", sorted(FULL_PMF_DIGESTS))
+    def test_pinned_digests(self, n):
+        entries = full_pmf(n, max_n=max(FULL_PMF_DIGESTS)).entries
+        digest = hashlib.sha256(repr(sorted(entries.items())).encode()).hexdigest()
+        assert digest == FULL_PMF_DIGESTS[n]
+
+    @pytest.mark.parametrize("order", [range(42, 48), range(47, 41, -1), [44, 47, 42, 45, 43, 46]])
+    def test_one_build_per_band(self, table_builds, order):
+        # t = 7 for n = 42..47: whichever n of the band comes first, the
+        # table is built up to 47 and serves the others.
+        assert {exactdist._small_cycle_limit(n) for n in range(42, 48)} == {7}
+        for n in order:
+            assert sum(full_pmf(n).entries.values()) == math.factorial(n)
+        assert table_builds == [(47, 7)]
+
+    def test_new_band_drops_old_table(self, table_builds):
+        full_pmf(47)
+        old = exactdist._TABLE_SLOT[7]
+        full_pmf(48)
+        assert table_builds == [(47, 7), (53, 8)]
+        assert list(exactdist._TABLE_SLOT) == [8]
+        assert exactdist._TABLE_SLOT[8] is not old
+        full_pmf(47)
+        assert table_builds == [(47, 7), (53, 8), (47, 7)]
+        assert list(exactdist._TABLE_SLOT) == [7]
+
+    def test_forced_limit_keeps_its_width(self, table_builds):
+        # A forced t is clipped to n and never widened by the next n's rule.
+        assert counts_with_limit(30, 40) == full_pmf(30).entries
+        assert table_builds[0] == (30, 30)
+        assert counts_with_limit(30, 4) == full_pmf(30).entries
+        assert table_builds[-2] == (35, 4)
 
 
 class TestBruteForce:

@@ -14,13 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from permorder import numtheory
 from permorder.numtheory import (
+    LANDAU_MAX_N,
+    BudgetExceededError,
     DivisorLattice,
     FactoredInt,
     ForcingSet,
     compute_forcing_set,
     factorize,
     landau_g,
+    landau_table,
     lcm_range,
     omega,
     primes_up_to,
@@ -226,6 +230,16 @@ class TestLandau:
     def test_monotone(self):
         vals = [landau_g(n) for n in range(0, 80)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_table_holds_every_smaller_n(self):
+        assert landau_table(120) == [landau_g(n) for n in range(121)]
+
+    def test_budget(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(numtheory, "primes_up_to", lambda n: started.append(n) or [])
+        with pytest.raises(BudgetExceededError, match=f"exceeds LANDAU_MAX_N={LANDAU_MAX_N}"):
+            landau_g(LANDAU_MAX_N + 1)
+        assert started == []
 
 
 def test_primes_up_to():
