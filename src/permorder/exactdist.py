@@ -5,21 +5,25 @@ here is exact: counts are Python ints and probabilities are Fractions
 with denominator n!; no approximate arithmetic appears anywhere in
 this module.
 
-Point counts and the small-cycle table of the full pmf share one
-divide-count route.  For every divisor d of some m, a scaled one-state
-recurrence (`_divide_columns`) counts the permutations whose
-cycle lengths all divide d, and Moebius inversion over the divisor lattice
-(`DivisorLattice.mobius_steps`) turns those into exact-order counts.
-`order_counts_on_lattice` runs it over the divisors of m for n labels;
-`_small_cycle_table` runs it over the divisors of lcm(1..t), with cycle
-lengths capped at t, for every label count up to n.  The full pmf comes
-from a partition scan over the cycles longer than t merged with that
-table (`full_pmf`), and `mode` is read off that exact pmf.  Every order
-in the table divides L = lcm(1..t), so the scan groups its nodes by
-(gcd(value, L), labels left) and merges each group with its table row
-once, after the walk.  The table's rows do not depend on n, so the last
-table built is kept in a one-entry slot and serves every n with the same
-t that it has rows for.
+Exact-order counts rest on divide-counts: L(d), the permutations whose
+cycle lengths all divide d, from a scaled one-state recurrence
+(`_divide_columns`), with Moebius inversion over divisors turning them
+into counts of order exactly d.  `p_exact` counts order m alone: it sums
+mu(s) L(m/s) over squarefree s | m, and takes each L(d) by a walk over
+d's divisors longer than t = `_small_cycle_limit(n)` that reads the
+shorter cycles from one column per distinct e = gcd(d, lcm(1..t)) (none
+for e = 1).  `_small_cycle_table` runs the recurrence over every divisor
+of lcm(1..t), with cycle lengths capped at t, for every label count up
+to n, and inverts whole columns (`DivisorLattice.mobius_steps`).  The
+full pmf comes from a partition scan over the cycles longer than t
+merged with that table (`full_pmf`), and `mode` is read off that exact
+pmf.  Every order in the table divides L = lcm(1..t), so the scan groups
+its nodes by (gcd(value, L), labels left) and merges each group with its
+table row once, after the walk.  The table's rows do not depend on n, so
+the last table built is kept in a one-entry slot and serves every n with
+the same t that it has rows for.  `order_counts_on_lattice` gives the
+counts of every divisor of m at once; no code in this package calls it,
+and it stays as a reference for the tests.
 `count_order_exactly_mobius` runs inclusion-exclusion over prime-exponent
 drops on the falling-factorial recursion of `count_lengths_divide`, and
 `count_restricted_cycles` runs that recursion with a cycle-count index.
@@ -48,6 +52,11 @@ from .numtheory import (
 )
 
 DEFAULT_MAX_N = 100
+# p_exact(n, n) took 5.7 s of CPU at n = 5040 and 33 s at n = 10 080, with
+# peak RSS 53 MB and 171 MB, on a 2-vCPU host.  One scaled column holds n + 1
+# ints of about log2(n!) bits, so its memory grows like n^2 log n; at
+# n = 100 000 it would need about 19 GB.
+P_EXACT_MAX_N = 10_000
 DEFAULT_MAX_SUPPORT = 5_000_000
 BRUTE_FORCE_LIMIT = 9
 
@@ -120,25 +129,26 @@ def count_lengths_divide(n: int, f: FactoredInt) -> int:
     return w[n]
 
 
-def _divide_columns(n: int, divisors: Sequence[int], cap: int) -> Iterator[list[int]]:
-    """Yield, for each d listed, the scaled column a[0..n] of its divide-counts.
+def _divide_columns(
+    n: int, lengths: Sequence[int], columns: Iterable[int]
+) -> Iterator[list[int]]:
+    """Yield, for each c in ``columns``, the scaled column a[0..n] for c.
 
-    w[nu] counts the permutations of [nu] whose cycle lengths all divide d
-    and are at most ``cap``.  ``divisors`` must be all the divisors of some
-    m, ascending, so those lengths are the listed j <= cap with j | d.
-    This is the cycle peeling of `count_lengths_divide` with w[nu] scaled
-    to a[nu] = w[nu] * n!/nu! from a[0] = n!, so that
+    w[nu] counts the permutations of [nu] whose cycle lengths all lie in
+    ``lengths`` (ascending) and divide c.  This is the cycle peeling of
+    `count_lengths_divide` with w[nu] scaled to a[nu] = w[nu] * n!/nu!
+    from a[0] = n!, so that
 
         nu * a[nu] = sum over allowed j <= nu of a[nu-j]:
 
     one addition per cell and one division by nu per row, and a[n] = w[n].
     The division is exact because a[nu] is an integer for nu <= n; a
-    remainder means a broken recurrence, and raises.
+    remainder means a broken recurrence, and raises.  A caller that holds
+    no column while asking for the next keeps one column alive at a time.
     """
     f_n = math.factorial(n)
-    lengths = [j for j in divisors if j <= cap]
-    for d in divisors:
-        js = [j for j in lengths if d % j == 0]
+    for c in columns:
+        js = [j for j in lengths if c % j == 0]
         a = [f_n] + [0] * n
         for nu in range(1, n + 1):
             s = 0
@@ -162,9 +172,10 @@ def _divide_counts(n: int, divisors: Sequence[int]) -> list[int]:
     ``divisors`` must be all the divisors of some m, ascending; L(d) is
     the last entry of d's column in `_divide_columns`.
     """
+    lengths = [j for j in divisors if j <= n]
     # map lets go of each column before the next is built; the loop variable
     # of a comprehension would keep a second column of about n! sized ints.
-    return list(map(operator.itemgetter(n), _divide_columns(n, divisors, n)))
+    return list(map(operator.itemgetter(n), _divide_columns(n, lengths, divisors)))
 
 
 def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
@@ -221,12 +232,102 @@ def count_order_exactly_mobius(n: int, f: FactoredInt) -> int:
     return total
 
 
+def _signed_divide_counts(
+    n: int, t: int, e: int, terms: list[tuple[int, int]], long_lengths: list[int]
+) -> int:
+    """Sum of sign * L(d) over ``terms``, whose d all have gcd(d, lcm(1..t)) = e.
+
+    L(d) counts the permutations of [n] whose cycle lengths all divide d.
+    A cycle of length j <= t divides d exactly when it divides e, so the
+    short cycles of every d here are counted by one scaled column of
+    `_divide_columns` for e, capped at t: a[r] = W(r) * n!/r!, with W(r)
+    the permutations of [r] whose lengths are <= t and divide e.  For
+    e = 1 only fixed points are short, W(r) = 1 and a[r] = n!/r!, so no
+    column is built.  The long cycles are walked as multisets of the
+    lengths j in ``long_lengths`` (ascending, all > t) that divide d, and
+    a node that leaves r labels over, with weight prod(j^c * c!) over its
+    multiplicities, adds a[r] / weight: n!/(weight * r!) ways to lay its
+    cycles out, times W(r).  The column is released when this returns.
+    """
+    col = None if e == 1 else next(_divide_columns(n, range(1, t + 1), (e,)))
+    total = 0
+    for sign, d in terms:
+        parts = [j for j in long_lengths if d % j == 0]
+        # (index of the next part to try, labels left, weight) per node.
+        stack = [(0, n, 1)]
+        while stack:
+            i, rem, weight = stack.pop()
+            q, r = divmod(math.perm(n, n - rem) if col is None else col[rem], weight)
+            if r:
+                raise RuntimeError(
+                    f"internal inconsistency at n={n}: scaled row {rem} "
+                    f"is not divisible by the cycle weight {weight}"
+                )
+            total += sign * q
+            for k in range(i, len(parts)):
+                j = parts[k]
+                if j > rem:
+                    break
+                w = weight
+                c = 0
+                while j * (c + 1) <= rem:
+                    c += 1
+                    w *= j * c
+                    stack.append((k + 1, rem - j * c, w))
+    return total
+
+
+def _count_order(n: int, f: FactoredInt) -> int:
+    """#{pi in S_n : ord(pi) = f.value}, counting order m = f.value alone.
+
+    E(m) = sum over squarefree s | m of mu(s) * L(m/s), with L(d) the
+    permutations whose cycle lengths all divide d.  Each L(d) is taken
+    by the meet-in-the-middle split of `full_pmf`, with t its small-cycle
+    limit: a walk over d's divisors longer than t (`_signed_divide_counts`)
+    reads the short cycles from one column per distinct e = gcd(d,
+    lcm(1..t)), so the terms are grouped by e and each column is built
+    once.  m must be achievable on [n], so the count is at least 1; less
+    means a broken route, and raises.
+    """
+    m = f.value
+    t = min(_small_cycle_limit(n), n)
+    big_l = lcm_range(t)
+    long_lengths = [j for j in DivisorLattice(f).divisors if t < j <= n]
+    primes = [p for p, _ in f.factors]
+    by_e: dict[int, list[tuple[int, int]]] = {}
+    for bits in range(1 << len(primes)):
+        sign = 1
+        d = m
+        for i, p in enumerate(primes):
+            if bits >> i & 1:
+                sign = -sign
+                d //= p
+        by_e.setdefault(math.gcd(d, big_l), []).append((sign, d))
+    count = sum(
+        _signed_divide_counts(n, t, e, terms, long_lengths) for e, terms in by_e.items()
+    )
+    if count < 1:
+        raise RuntimeError(
+            f"internal inconsistency at n={n}: count {count} for achievable order {m}"
+        )
+    return count
+
+
 def p_exact(n: int, m: int) -> Fraction:
-    """P(ord = m) for a uniform random permutation of [n], exactly."""
+    """P(ord = m) for a uniform random permutation of [n], exactly.
+
+    Only order m is counted (`_count_order`): the sum of mu(s) L(m/s) over
+    squarefree s | m, with one scaled column of n + 1 ints per distinct
+    e = gcd(m/s, lcm(1..t)), each released before the next is built.  An
+    n above P_EXACT_MAX_N raises `BudgetExceededError` before any work is
+    done.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    if n > P_EXACT_MAX_N:
+        raise BudgetExceededError(f"n={n} exceeds P_EXACT_MAX_N={P_EXACT_MAX_N}")
     # m is an achievable order iff its maximal prime powers fit into [n]
     # as disjoint cycles; everything else can be padded with fixed points.
     # So only primes <= n are divided out: whatever is left over has a
@@ -248,8 +349,7 @@ def p_exact(n: int, m: int) -> Fraction:
         factors.append((rem, 1))  # a prime: no prime below sqrt(rem) divides it
     if sum(p**e for p, e in factors) > n:
         return Fraction(0)
-    count = order_counts_on_lattice(n, FactoredInt(m, tuple(factors))).count_for(m)
-    return Fraction(count, math.factorial(n))
+    return Fraction(_count_order(n, FactoredInt(m, tuple(factors))), math.factorial(n))
 
 
 # One entry holds up to max_support ints (18 663 at n = 100, about 0.7 MB),
@@ -316,7 +416,8 @@ def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
     f_n = math.factorial(n)
     scales = [f_n // math.factorial(r) for r in range(n + 1)]
     cols: list[list] = [
-        [a // s for a, s in zip(col, scales)] for col in _divide_columns(n, divisors, t)
+        [a // s for a, s in zip(col, scales)]
+        for col in _divide_columns(n, range(1, t + 1), divisors)
     ]
     for i, k in lattice.mobius_steps():
         cols[i] = [a - b for a, b in zip(cols[i], cols[k])]

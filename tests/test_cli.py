@@ -295,6 +295,13 @@ class TestEtaCheck:
         assert [r["n"] for r in rows] == [3, 4, 5]
         assert rows[0]["predicted"] == "1/3"
 
+    def test_past_point_budget_exits_1(self, capsys):
+        # One scaled column at n = 100 000 would hold about 19 GB.
+        code, out, err = run_cli(capsys, "eta-check", "--n", "100000")
+        assert code == 1
+        assert err.startswith("resource limit exceeded:")
+        assert out == ""
+
 
 def _frac(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"

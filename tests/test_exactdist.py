@@ -7,6 +7,7 @@ engine was implemented; the oracles never share code with the engine.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ import helpers
 from permorder import exactdist, numtheory
 from permorder.exactdist import (
     DEFAULT_MAX_N,
+    P_EXACT_MAX_N,
     BudgetExceededError,
     brute_force_joint,
     brute_force_pmf,
@@ -33,7 +35,13 @@ from permorder.exactdist import (
     support,
     tail_max,
 )
-from permorder.numtheory import DivisorLattice, compute_forcing_set, factorize, landau_g
+from permorder.numtheory import (
+    DivisorLattice,
+    compute_forcing_set,
+    factorize,
+    landau_g,
+    tau,
+)
 
 ORACLE_MAX_N = 44  # helpers.pmf_by_partitions stays fast up to here
 # Where the kernel's small-cycle limit t changes value, and where n <= t so
@@ -219,6 +227,98 @@ class TestPExact:
             p_exact(3, 0)
 
 
+def _mobius_p(n: int, m: int) -> Fraction:
+    return Fraction(count_order_exactly_mobius(n, factorize(m)), math.factorial(n))
+
+
+# sha256 of str(count) for p_exact(n, n) * n!, frozen from the route that
+# Moebius-inverted the divide-counts of every divisor of m.
+P_EXACT_DIGESTS = {
+    720: "4600a30f93a3c8b18d6588ea844d2079839ba823a1c2f1e7b73a7ae8975ddba0",
+    840: "946e313ba2a5e50307c195afbb6a687415ad5d9c210f826701f8c7b2a6cfd2b2",
+}
+
+
+class TestOrderOnlyRoute:
+    """p_exact counts order m alone, from one column per distinct e."""
+
+    def test_every_order_up_to_60(self, monkeypatch):
+        # The oracle's divide-counts are memoized: the orders of one n share
+        # most of their divisors d, and each L(d) is then computed once.
+        monkeypatch.setattr(
+            exactdist, "count_lengths_divide", functools.cache(count_lengths_divide)
+        )
+        for n in range(1, 61):
+            orders = set(support(n))
+            for m in orders:
+                assert p_exact(n, m) == _mobius_p(n, m), (n, m)
+            for m in range(1, 3 * n):
+                if m not in orders:
+                    assert p_exact(n, m) == 0, (n, m)
+
+    @given(st.integers(min_value=100, max_value=900), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_forcing_and_divisor_rich_orders(self, n, data):
+        k = data.draw(st.sampled_from(compute_forcing_set(n).members))
+        rich = [m for m in range(n // 2, 4 * n + 1) if tau(factorize(m)) >= 12]
+        m = data.draw(st.sampled_from(rich))
+        assert p_exact(n, n - k) == _mobius_p(n, n - k)
+        assert p_exact(n, m) == _mobius_p(n, m)
+
+    @pytest.mark.parametrize("n", sorted(P_EXACT_DIGESTS))
+    def test_pinned_highly_composite(self, n):
+        count = p_exact(n, n) * math.factorial(n)
+        assert count.denominator == 1
+        digest = hashlib.sha256(str(count.numerator).encode()).hexdigest()
+        assert digest == P_EXACT_DIGESTS[n]
+
+    def test_columns_only_for_distinct_e(self, monkeypatch):
+        built = []
+        real = exactdist._divide_columns
+        monkeypatch.setattr(
+            exactdist, "_divide_columns",
+            lambda n, lengths, columns: real(n, lengths, built.extend(columns) or columns),
+        )
+        # 59 is a prime above t = 10: d = 59 and d = 1 both have e = 1.
+        assert p_exact(60, 59) == Fraction(1, 59)
+        assert built == []
+        # 120 = 2^3 * 3 * 5 at t = 20: every d = 120/s has e = d, so 2^3
+        # columns, not the 16 divisors of 120.
+        p_exact(120, 120)
+        assert sorted(built) == [4, 8, 12, 20, 24, 40, 60, 120]
+        # 64 at t = 10: d = 64 and d = 32 share e = 8, one column.
+        built.clear()
+        p_exact(64, 64)
+        assert built == [8]
+        # 44 = 4 * 11 at t = 10: 11 > t, so d = 44 and d = 4 share e = 4,
+        # and d = 22 and d = 2 share e = 2.
+        built.clear()
+        p_exact(60, 44)
+        assert sorted(built) == [2, 4]
+
+    def test_budget_fires_before_any_work(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(exactdist, "_divide_columns", lambda *a: started.append(a))
+        monkeypatch.setattr(exactdist, "primes_up_to", lambda n: started.append(n))
+        with pytest.raises(BudgetExceededError, match=f"P_EXACT_MAX_N={P_EXACT_MAX_N}"):
+            p_exact(P_EXACT_MAX_N + 1, 2)
+        with pytest.raises(BudgetExceededError):
+            p_exact(10**12, 10**12)
+        assert started == []
+
+    def test_budget_edge_is_served(self):
+        # m = 1 has e = 1 alone: no column, one walk node, n!/n! = 1.
+        assert p_exact(P_EXACT_MAX_N, 1) == Fraction(1, math.factorial(P_EXACT_MAX_N))
+
+    def test_inexact_weight_raises(self, monkeypatch):
+        # n!/r! + 1 for e = 1 leaves the 59-cycle's node, on one label left,
+        # indivisible by its weight 59; the walk must refuse, not round.
+        real = math.perm
+        monkeypatch.setattr(exactdist.math, "perm", lambda n, k: real(n, k) + 1)
+        with pytest.raises(RuntimeError, match="cycle weight 59"):
+            p_exact(60, 59)
+
+
 class TestSupport:
     def test_frozen_examples(self):
         assert support(1) == [1]
@@ -329,7 +429,7 @@ class TestSmallCycleKernel:
         real = exactdist._divide_columns
         monkeypatch.setattr(
             exactdist, "_divide_columns",
-            lambda n, divisors, cap: list(real(n, divisors, cap))[::-1],
+            lambda n, lengths, columns: list(real(n, lengths, columns))[::-1],
         )
         with pytest.raises(RuntimeError, match="negative count"):
             exactdist._small_cycle_table(6, 4)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -175,12 +176,16 @@ class TestGoldenStream:
         assert estimate_p(n, m, trials=trials, seed=seed).hits == hits
 
     # estimate_p stops its lcm work at the first length that does not
-    # divide m but must still draw every step of the chain.
+    # divide m but must still draw every step of the chain.  Every length
+    # up to 10 divides 2520 and up to 12 divides 27720, so those chains stay
+    # live to their end; m = 1 is live only while every length is 1; 5000
+    # starts above the bit-length table.
     @pytest.mark.parametrize(
         "n, m, trials",
-        [(1, 1, 2_000), (3, 1, 4_000), (50, 50, 4_000), (10, 12, 4_000),
-         (20, 23, 2_000), (800, 1024, 2_000), (31, 30, 4_000), (33, 32, 4_000),
-         (1023, 1020, 3_000), (1025, 1024, 3_000), (4, 4, 25_001)],
+        [(1, 1, 2_000), (3, 1, 4_000), (2, 1, 4_000), (50, 50, 4_000),
+         (10, 12, 4_000), (20, 23, 2_000), (800, 1024, 2_000), (31, 30, 4_000),
+         (33, 32, 4_000), (1023, 1020, 3_000), (1025, 1024, 3_000), (4, 4, 25_001),
+         (10, 2520, 4_000), (12, 27720, 4_000), (5000, 5000, 1_000)],
     )
     def test_estimate_p_hits_match_full_lcm_test(self, n, m, trials):
         plan = sampler._chunk_plan(trials, SEED)
@@ -193,6 +198,20 @@ class TestGoldenStream:
     )
     def test_estimate_collision_hits_pinned(self, n, seed, hits):
         assert estimate_collision(n, trials=20_000, seed=seed).hits == hits
+
+
+class TestSamplerMemory:
+    def test_estimate_p_memory_does_not_grow_with_n(self):
+        # No table or buffer may be sized by n: at n = 10**12 the draws
+        # must run in the memory of a few chain values.
+        tracemalloc.start()
+        try:
+            rec = estimate_p(10**12, 10**12, trials=1_000, seed=SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.trials == 1_000
+        assert peak < 2 * 2**20
 
 
 class TestWorkerPooling:
