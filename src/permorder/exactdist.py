@@ -14,16 +14,18 @@ d's divisors longer than t = `_small_cycle_limit(n)` that reads the
 shorter cycles from one column per distinct e = gcd(d, lcm(1..t)) (none
 for e = 1).  `_small_cycle_table` runs the recurrence over every divisor
 of lcm(1..t), with cycle lengths capped at t, for every label count up
-to n, and inverts whole columns (`DivisorLattice.mobius_steps`).  The
-full pmf comes from a partition scan over the cycles longer than t
-merged with that table (`full_pmf`), and `mode` is read off that exact
-pmf.  Every order in the table divides L = lcm(1..t), so the scan groups
-its nodes by (gcd(value, L), labels left) and merges each group with its
-table row once, after the walk.  The table's rows do not depend on n, so
-the last table built is kept in a one-entry slot and serves every n with
-the same t that it has rows for.  `order_counts_on_lattice` gives the
-counts of every divisor of m at once; no code in this package calls it,
-and it stays as a reference for the tests.
+to n, and inverts whole columns (`DivisorLattice.mobius_steps`).
+`_long_cycle_table` walks the partitions into cycles longer than t once
+and sums, for each label count s, the permutations of [s] by (g, h) with
+g = gcd(order, lcm(1..t)) and h = order // g.  The full pmf (`full_pmf`)
+merges the two: every order in the small table divides L = lcm(1..t), so
+lcm(g * h, l) = h * lcm(g, l), and for each s small-table row n - s is
+collapsed once per g and spread over the h's, weighted by C(n, s).  The
+rows of both tables do not depend on n, so the last pair built is kept in
+a one-entry slot and serves every n with the same t that it has rows
+for.  `mode` is read off that exact pmf.  `order_counts_on_lattice`
+gives the counts of every divisor of m at once; no code in this package
+calls it, and it stays as a reference for the tests.
 `count_order_exactly_mobius` runs inclusion-exclusion over prime-exponent
 drops on the falling-factorial recursion of `count_lengths_divide`, and
 `count_restricted_cycles` runs that recursion with a cycle-count index.
@@ -438,87 +440,113 @@ def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
     return rows
 
 
-# The last small-cycle table built, under its clipped limit t.  Row r of
-# the table depends on t alone, not on the n it was built for, so one
-# table serves every n whose clipped t matches and whose rows it holds.
-# At most one table is alive: the slot is emptied before the next build.
-_TABLE_SLOT: dict[int, list[dict[int, int]]] = {}
+def _long_cycle_table(n: int, t: int) -> list[dict[int, tuple[int, ...]]]:
+    """Permutations of [s] whose cycles are all longer than t, by order, for s <= n.
 
-
-def _small_cycle_rows(n: int, t: int) -> list[dict[int, int]]:
-    """Rows 0..n (or more) of `_small_cycle_table` for the limit t clipped to n.
-
-    A miss builds the table up to the largest n' <= n + 5 whose clipped
-    limit is the same t, so a run over consecutive n builds it once per
-    band of the `_small_cycle_limit` rule, in either direction.
+    Row s maps g to the flat tuple (h, c, h', c', ...): c permutations
+    have order g * h, with g = gcd(order, lcm(1..t)) and h = order // g.
+    One walk over the cycles longer than t, as partitions of at most n
+    labels by descending part size, fills every row: a node that uses s
+    labels with multiplicities c_j holds s!/prod(j^c_j * c_j!)
+    permutations.
     """
-    rows = _TABLE_SLOT.get(t)
-    if rows is None or len(rows) <= n:
+    big_l = lcm_range(t)
+    facts = [math.factorial(s) for s in range(n + 1)]
+    rows: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n + 1)]
+    lcm = math.lcm
+    gcd = math.gcd
+    # (labels used, largest part left, prod(j^c * c!), lcm of the parts).
+    stack = [(0, n, 1, 1)]
+    while stack:
+        s, maxpart, denom, value = stack.pop()
+        g = gcd(value, big_l)
+        by_h = rows[s].setdefault(g, {})
+        h = value // g
+        by_h[h] = by_h.get(h, 0) + facts[s] // denom
+        for j in range(min(maxpart, n - s), t, -1):
+            vj = lcm(value, j)
+            weight = denom
+            c = 0
+            while s + j * (c + 1) <= n:
+                c += 1
+                weight *= j * c
+                stack.append((s + j * c, j - 1, weight, vj))
+    # The table is kept for a whole band, and a flat tuple per g takes less
+    # than half the memory of the dict that summed it.
+    chain = itertools.chain.from_iterable
+    return [{g: tuple(chain(by_h.items())) for g, by_h in row.items()} for row in rows]
+
+
+# The last pair of tables built, small-cycle and long-cycle, under their
+# clipped limit t.  Row r of either table depends on t alone, not on the n
+# it was built for, so one pair serves every n whose clipped t matches and
+# whose rows it holds.  At most one pair is alive: the slot is emptied
+# before the next build.
+_Tables = tuple[list[dict[int, int]], list[dict[int, tuple[int, ...]]]]
+_TABLE_SLOT: dict[int, _Tables] = {}
+
+
+def _cycle_tables(n: int, t: int) -> _Tables:
+    """Rows 0..n (or more) of `_small_cycle_table` and `_long_cycle_table`.
+
+    t is the limit clipped to n.  A miss builds both tables up to the
+    largest n' <= n + 5 whose clipped limit is the same t, so a run over
+    consecutive n builds them once per band of the `_small_cycle_limit`
+    rule, in either direction.
+    """
+    tables = _TABLE_SLOT.get(t)
+    if tables is None or len(tables[0]) <= n:
         _TABLE_SLOT.clear()
         top = max(k for k in range(n, n + 6) if min(_small_cycle_limit(k), k) == t)
-        rows = _TABLE_SLOT[t] = _small_cycle_table(top, t)
-    return rows
+        tables = _TABLE_SLOT[t] = (
+            _small_cycle_table(top, t),
+            _long_cycle_table(top, t),
+        )
+    return tables
 
 
 @lru_cache(maxsize=1)
 def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
     entries = dict.fromkeys(_support_values(n, max_support), 0)
     t = min(_small_cycle_limit(n), n)
-    small = _small_cycle_rows(n, t)
-    big_l = lcm_range(t)
-    f_n = math.factorial(n)
+    small, long = _cycle_tables(n, t)
     lcm = math.lcm
-    gcd = math.gcd
-    factorial = math.factorial
-    # (g, rem) -> {h: sum of ways}, over the whole walk.
-    groups: dict[tuple[int, int], dict[int, int]] = {}
+    comb = math.comb
 
-    # Meet in the middle.  Walk only the cycles longer than t, as partitions
-    # by descending part size; `denom` carries prod(j^c * c!) over the
-    # multiplicities chosen so far.  Then n!/(denom * rem!) counts the ways
-    # to lay out those cycles and leave `rem` labels over, and the
-    # small-cycle table row `rem` says how many permutations of the
-    # leftover labels, all cycles <= t, have each lcm l.  Together they
-    # make permutations of order lcm(value, l).
-    #
-    # Every such l divides L = lcm(1..t), so with g = gcd(value, L) and
-    # h = value // g, lcm(value, l) = h * lcm(g, l).  The walk therefore
-    # only sums its ways per h under the key (g, rem); the merge with the
-    # table row comes after it, once per key.
-    def scan(rem: int, maxpart: int, denom: int, value: int) -> None:
-        for j in range(min(maxpart, rem), t, -1):
-            vj = lcm(value, j)
-            weight = denom
-            c = 0
-            while j * (c + 1) <= rem:
-                c += 1
-                weight *= j * c
-                scan(rem - j * c, j - 1, weight, vj)
-        g = gcd(value, big_l)
-        by_h = groups.setdefault((g, rem), {})
-        h = value // g
-        by_h[h] = by_h.get(h, 0) + f_n // (denom * factorial(rem))
-
-    scan(n, n, 1, 1)
-    # Collapse row `rem` under l -> lcm(g, l), with additions only, then
-    # spread each h's summed ways over it: one product per (h, y) cell.
-    # Popping each key frees its sums once spent; iterating the map instead
-    # raised the peak RSS of a lone full_pmf(170) by about 5%.
-    while groups:
-        (g, rem), by_h = groups.popitem()
-        col: dict[int, int] = {}
-        for ell, c in small[rem].items():
-            y = lcm(g, ell)
-            col[y] = col.get(y, 0) + c
-        for h, w in by_h.items():
-            for y, c in col.items():
-                entries[h * y] += w * c
+    # Meet in the middle.  A permutation of [n] splits into s labels in
+    # cycles longer than t and n - s labels in cycles of at most t: C(n, s)
+    # ways to choose the labels, long-table row s for the long cycles and
+    # small-table row n - s for the short ones, of order lcm(g * h, l).
+    # Every such l divides L = lcm(1..t) and g = gcd(g * h, L), so
+    # lcm(g * h, l) = h * lcm(g, l): row n - s is collapsed under
+    # l -> lcm(g, l) once per g, with additions only, and each h's ways
+    # are spread over it, one product per (h, y) cell.
+    try:
+        for s in range(n + 1):
+            row = small[n - s]
+            b = comb(n, s)
+            for g, hw in long[s].items():
+                col: dict[int, int] = {}
+                for ell, c in row.items():
+                    y = lcm(g, ell)
+                    col[y] = col.get(y, 0) + c
+                pairs = iter(hw)
+                for h, w in zip(pairs, pairs):
+                    w *= b
+                    for y, c in col.items():
+                        entries[h * y] += w * c
+    except KeyError as exc:
+        raise RuntimeError(
+            f"internal inconsistency at n={n}: order {exc.args[0]} is not in support({n})"
+        ) from None
     missing = [m for m, c in entries.items() if c == 0]
     if missing:
         raise RuntimeError(
             f"internal inconsistency at n={n}: no partition produced lcm "
             f"{missing[:5]}{'...' if len(missing) > 5 else ''}"
         )
+    if sum(entries.values()) != math.factorial(n):
+        raise RuntimeError(f"internal inconsistency at n={n}: the counts do not sum to n!")
     return tuple(sorted(entries.items()))
 
 
@@ -529,10 +557,12 @@ def full_pmf(
 ) -> OrderPmf:
     """The complete exact pmf of the order, as counts out of n!.
 
-    Computed by one partition scan with a small-cycle table; the table and
-    the point counts share one divide-count route.  The counts must sum to
-    n! and the nonzero keys must equal support(n), which checks the whole
-    result.
+    Computed by merging the small- and long-cycle tables of
+    `_small_cycle_table` and `_long_cycle_table`; the small table and the
+    point counts share one divide-count route.  The counts must sum to n!
+    and the nonzero keys must equal support(n), which checks the whole
+    result: a product outside support(n), a zero count or a wrong total
+    raises RuntimeError.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

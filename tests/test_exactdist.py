@@ -446,22 +446,35 @@ FULL_PMF_DIGESTS = {
 }
 
 
+# sha256 of the lines "{n} {first 16 hex of the digest above}\n" for
+# n = 1..100, frozen from the kernel that walked the long cycles once per n.
+FULL_PMF_1_TO_100_DIGEST = "eac8d544fcd9d236706cbf9ebfbccb55dd4f0259156b7b56bc0c74fc9d7411cf"
+
+
 @pytest.fixture
-def table_builds(monkeypatch):
-    """Record the (n, t) of every small-cycle table built, from an empty slot."""
-    builds: list[tuple[int, int]] = []
-    real = exactdist._small_cycle_table
-
-    def counted(n: int, t: int) -> list[dict[int, int]]:
-        builds.append((n, t))
-        return real(n, t)
-
-    monkeypatch.setattr(exactdist, "_small_cycle_table", counted)
+def cold_slot():
+    """Empty the table slot and the full-count cache around the test."""
     exactdist._TABLE_SLOT.clear()
     exactdist._full_counts.cache_clear()
-    yield builds
+    yield
     exactdist._TABLE_SLOT.clear()
     exactdist._full_counts.cache_clear()
+
+
+@pytest.fixture
+def table_builds(monkeypatch, cold_slot):
+    """Record the (n, t) of every small- and long-cycle table built, from an empty slot."""
+    builds: dict[str, list[tuple[int, int]]] = {"small": [], "long": []}
+    for kind in builds:
+        name = f"_{kind}_cycle_table"
+        real = getattr(exactdist, name)
+
+        def counted(n: int, t: int, kind=kind, real=real):
+            builds[kind].append((n, t))
+            return real(n, t)
+
+        monkeypatch.setattr(exactdist, name, counted)
+    return builds
 
 
 class TestGroupedMergeAndTableSlot:
@@ -471,32 +484,90 @@ class TestGroupedMergeAndTableSlot:
         digest = hashlib.sha256(repr(sorted(entries.items())).encode()).hexdigest()
         assert digest == FULL_PMF_DIGESTS[n]
 
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_kept_tables_in_any_order(self, cold_slot, ascending):
+        ns = range(1, 101) if ascending else range(100, 0, -1)
+        lines = {}
+        for n in ns:
+            entries = full_pmf(n).entries
+            lines[n] = f"{n} {hashlib.sha256(repr(sorted(entries.items())).encode()).hexdigest()[:16]}\n"
+        text = "".join(lines[n] for n in range(1, 101))
+        assert hashlib.sha256(text.encode()).hexdigest() == FULL_PMF_1_TO_100_DIGEST
+
     @pytest.mark.parametrize("order", [range(42, 48), range(47, 41, -1), [44, 47, 42, 45, 43, 46]])
     def test_one_build_per_band(self, table_builds, order):
-        # t = 7 for n = 42..47: whichever n of the band comes first, the
-        # table is built up to 47 and serves the others.
+        # t = 7 for n = 42..47: whichever n of the band comes first, both
+        # tables are built up to 47 and serve the others.
         assert {exactdist._small_cycle_limit(n) for n in range(42, 48)} == {7}
         for n in order:
             assert sum(full_pmf(n).entries.values()) == math.factorial(n)
-        assert table_builds == [(47, 7)]
+        assert table_builds == {"small": [(47, 7)], "long": [(47, 7)]}
 
     def test_new_band_drops_old_table(self, table_builds):
         full_pmf(47)
         old = exactdist._TABLE_SLOT[7]
         full_pmf(48)
-        assert table_builds == [(47, 7), (53, 8)]
+        assert table_builds == {"small": [(47, 7), (53, 8)], "long": [(47, 7), (53, 8)]}
         assert list(exactdist._TABLE_SLOT) == [8]
-        assert exactdist._TABLE_SLOT[8] is not old
+        small, long = exactdist._TABLE_SLOT[8]
+        assert len(small) == len(long) == 54
+        assert small is not old[0] and long is not old[1]
         full_pmf(47)
-        assert table_builds == [(47, 7), (53, 8), (47, 7)]
+        assert table_builds == {
+            "small": [(47, 7), (53, 8), (47, 7)],
+            "long": [(47, 7), (53, 8), (47, 7)],
+        }
         assert list(exactdist._TABLE_SLOT) == [7]
 
     def test_forced_limit_keeps_its_width(self, table_builds):
         # A forced t is clipped to n and never widened by the next n's rule.
         assert counts_with_limit(30, 40) == full_pmf(30).entries
-        assert table_builds[0] == (30, 30)
+        assert table_builds["small"][0] == table_builds["long"][0] == (30, 30)
         assert counts_with_limit(30, 4) == full_pmf(30).entries
-        assert table_builds[-2] == (35, 4)
+        assert table_builds["small"][-2] == table_builds["long"][-2] == (35, 4)
+
+    def test_long_table_rows_match_partition_oracle(self):
+        for t in range(0, 8):
+            big_l = numtheory.lcm_range(t)
+            table = exactdist._long_cycle_table(14, t)
+            assert len(table) == 15
+            for s in range(15):
+                expected: dict[int, dict[int, int]] = {}
+                for parts in helpers.partitions(s):
+                    if parts and parts[-1] <= t:
+                        continue
+                    ell = helpers.lcm_of(parts)
+                    g = math.gcd(ell, big_l)
+                    by_h = expected.setdefault(g, {})
+                    by_h[ell // g] = by_h.get(ell // g, 0) + helpers.cycle_type_count(s, parts)
+                assert {g: dict(zip(hw[::2], hw[1::2])) for g, hw in table[s].items()} == expected
+
+    def test_counts_off_n_factorial_raise(self, cold_slot, monkeypatch):
+        real = exactdist._small_cycle_table
+
+        def raised(n: int, t: int) -> list[dict[int, int]]:
+            rows = real(n, t)
+            rows[3][3] += 1
+            return rows
+
+        monkeypatch.setattr(exactdist, "_small_cycle_table", raised)
+        with pytest.raises(RuntimeError, match=r"internal inconsistency at n=20: .*sum to n!"):
+            full_pmf(20)
+
+    def test_order_outside_support_raises(self, cold_slot, monkeypatch):
+        # 23 is a prime above 20, so every product with it leaves support(20).
+        real = exactdist._small_cycle_table
+
+        def replaced(n: int, t: int) -> list[dict[int, int]]:
+            rows = real(n, t)
+            rows[3][23] = rows[3].pop(3)
+            return rows
+
+        monkeypatch.setattr(exactdist, "_small_cycle_table", replaced)
+        with pytest.raises(
+            RuntimeError, match=r"internal inconsistency at n=20: order \d+ is not in support"
+        ):
+            full_pmf(20)
 
 
 class TestBruteForce:
