@@ -321,10 +321,11 @@ def _cmd_landau(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
 
 
 def _cmd_pmf(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
-    pmf = full_pmf(_single_n(args))
+    n = _single_n(args)
+    fact = math.factorial(n)
     rows = [
-        {"m": m, "count": str(count), "prob": pmf.prob(m)}
-        for m, count in sorted(pmf.entries.items())
+        {"m": m, "count": str(count), "prob": Fraction(count, fact)}
+        for m, count in sorted(full_pmf(n).entries.items())
     ]
     return rows, EXIT_OK
 
@@ -401,6 +402,7 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
         "estimate": record.estimate,
         "std_err": record.std_err,
         "seed": str(record.seed),
+        "stream": record.stream,
     }
     return [row], EXIT_OK
 

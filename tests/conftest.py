@@ -34,10 +34,11 @@ def acceptance_note(request):
 def pool_sizes(monkeypatch):
     """The max_workers of every process pool opened, with no process started.
 
-    Replaces the pool class the package uses by one that records its size
-    and runs the calls in this process.  The usable CPU count is pinned at
-    64, so recorded sizes do not depend on the host; a test that checks the
-    CPU cap patches ``sampler._usable_cpus`` again.
+    Replaces ``concurrent.futures.ProcessPoolExecutor``, which
+    ``sampler._pooled`` imports only when it starts a pool, by a class that
+    records its size and runs the calls in this process.  The usable CPU
+    count is pinned at 64, so recorded sizes do not depend on the host; a
+    test that checks the CPU cap patches ``sampler._usable_cpus`` again.
     """
     from permorder import sampler
 
@@ -56,7 +57,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sampler, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(sampler, "_usable_cpus", lambda: 64)
     return sizes
 

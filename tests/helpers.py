@@ -160,17 +160,53 @@ def cycle_lengths_by_randrange(n: int, rng) -> list[int]:
     return lengths
 
 
+def chain_ends_at_order(n: int, m: int, rng) -> bool:
+    """One stream-2 trial: does the chain from n, drawn with ``randrange``,
+    have order m?
+
+    The chain X_0 = n, X_{j+1} = rng.randrange(X_j) is drawn only until
+    the answer is known: up to the first cycle length that does not divide
+    m (no), or to its end (yes iff the lcm of the lengths is m).
+    """
+    lengths = []
+    x = n
+    while x:
+        nxt = rng.randrange(x)
+        if m % (x - nxt):
+            return False
+        lengths.append(x - nxt)
+        x = nxt
+    return lcm_of(lengths) == m
+
+
 def order_hits_by_randrange(n: int, m: int, plan) -> int:
-    """Trials whose order, lcm of the cycle lengths, equals m.
+    """Stream-2 trials whose order, lcm of the cycle lengths, equals m.
 
     ``plan`` is a list of (seed, trials) chunks; each chunk draws its trials
-    from its own ``random.Random(seed)`` with `cycle_lengths_by_randrange`.
+    one after another from its own ``random.Random(seed)`` with
+    `chain_ends_at_order`.
     """
     hits = 0
     for seed, count in plan:
         rng = random.Random(seed)
         for _ in range(count):
-            hits += math.lcm(*cycle_lengths_by_randrange(n, rng)) == m
+            hits += chain_ends_at_order(n, m, rng)
+    return hits
+
+
+def collision_hits_by_randrange(n: int, plan) -> int:
+    """Stream-2 trials in which two chains from n have the same order.
+
+    Each trial draws a whole first chain with `cycle_lengths_by_randrange`,
+    then a second one with `chain_ends_at_order` for the first one's order,
+    from the chunk's one ``random.Random(seed)``.
+    """
+    hits = 0
+    for seed, count in plan:
+        rng = random.Random(seed)
+        for _ in range(count):
+            first = lcm_of(cycle_lengths_by_randrange(n, rng))
+            hits += chain_ends_at_order(n, first, rng)
     return hits
 
 

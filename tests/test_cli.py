@@ -681,3 +681,11 @@ class TestWorkerCap:
                              "--cache-dir", str(tmp_path), "--threads", "5000")
         assert code == 3
         assert pool_sizes == [3]
+
+    def test_import_loads_no_process_pool(self):
+        # the pool machinery is imported only when a pool starts
+        proc = run_python(
+            "-c", "import sys, permorder.cli; print(sorted(m for m in sys.modules"
+            " if m in ('concurrent.futures.process', 'multiprocessing')))"
+        )
+        assert proc.stdout == b"[]\n"

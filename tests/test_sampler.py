@@ -1,8 +1,10 @@
 """Tests for the descending-chain cycle-type sampler and its estimators.
 
-Reference probabilities come from the exhaustive oracles in helpers.py or
-from hand-computed exact laws of tiny cases; all randomized checks use
-fixed seeds and 4-standard-error windows, so they are deterministic.
+Reference probabilities come from the exhaustive oracles in helpers.py,
+from hand-computed exact laws of tiny cases, or from `p_exact` at n in the
+hundreds; all randomized checks use fixed seeds and 4-standard-error
+windows (6 against `p_exact`, the benchmark oracle's window), so they are
+deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 import helpers
 from permorder import sampler
+from permorder.exactdist import p_exact
 from permorder.sampler import (
     ChiSquareResult,
     CycleType,
@@ -164,22 +167,24 @@ class TestGoldenStream:
             assert ct.lengths == tuple(sorted(helpers.cycle_lengths_by_randrange(n, ref)))
             assert ours.getstate() == ref.getstate()
 
-    # Hit counts recorded from the randrange-based sampler; a change to the
-    # draw loop that alters any seeded stream changes them.
+    # Hit counts of stream 2, taken from helpers.order_hits_by_randrange and
+    # helpers.collision_hits_by_randrange; a change to the draw loop that
+    # alters any seeded stream changes them.
     @pytest.mark.parametrize(
         "n, m, seed, hits",
-        [(50, 50, 1, 436), (10, 12, 3, 3288), (800, 797, 12345, 10),
-         (600, 600, 2**64 - 1, 31)],
+        [(50, 50, 1, 406), (10, 12, 3, 3322), (800, 797, 12345, 5),
+         (600, 600, 2**64 - 1, 46)],
     )
     def test_estimate_p_hits_pinned(self, n, m, seed, hits):
         trials = 30_000 if n == 10 else 20_000
         assert estimate_p(n, m, trials=trials, seed=seed).hits == hits
 
-    # estimate_p stops its lcm work at the first length that does not
-    # divide m but must still draw every step of the chain.  Every length
-    # up to 10 divides 2520 and up to 12 divides 27720, so those chains stay
-    # live to their end; m = 1 is live only while every length is 1; 5000
-    # starts above the bit-length table.
+    # estimate_p ends a trial at the first length that does not divide m,
+    # and otherwise draws the chain to its end and compares the lcm of its
+    # lengths with m, as the reference does.  Every length up to 10 divides
+    # 2520 and up to 12 divides 27720, so those chains never stop early;
+    # m = 1 goes on only while every length is 1; 5000 draws from far above
+    # the first draw's bit length.
     @pytest.mark.parametrize(
         "n, m, trials",
         [(1, 1, 2_000), (3, 1, 4_000), (2, 1, 4_000), (50, 50, 4_000),
@@ -194,10 +199,39 @@ class TestGoldenStream:
         )
 
     @pytest.mark.parametrize(
-        "n, seed, hits", [(10, 1, 2093), (30, 5, 313), (100, 99, 26)]
+        "n, trials",
+        [(1, 2_000), (2, 4_000), (3, 4_000), (10, 4_000), (12, 25_001),
+         (31, 4_000), (100, 3_000)],
+    )
+    def test_estimate_collision_hits_match_reference(self, n, trials):
+        plan = sampler._chunk_plan(trials, SEED)
+        assert estimate_collision(n, trials=trials, seed=SEED).hits == (
+            helpers.collision_hits_by_randrange(n, plan)
+        )
+
+    @pytest.mark.parametrize(
+        "n, seed, hits", [(10, 1, 2135), (30, 5, 333), (100, 99, 26)]
     )
     def test_estimate_collision_hits_pinned(self, n, seed, hits):
         assert estimate_collision(n, trials=20_000, seed=seed).hits == hits
+
+    def test_stream_version(self):
+        assert sampler.STREAM_VERSION == 2
+        assert estimate_p(4, 4, trials=100, seed=SEED).stream == 2
+        assert estimate_collision(4, trials=100, seed=SEED).stream == 2
+
+
+class TestAgainstExact:
+    # (n, m) pairs like those of the benchmark's `points` workload: m = n - k
+    # for a forcing offset k, n in 200..800.  Seeds fixed, so deterministic.
+    @pytest.mark.parametrize(
+        "n, m", [(200, 200), (331, 330), (498, 496), (603, 600), (797, 797)]
+    )
+    def test_estimate_p_within_six_standard_errors(self, n, m):
+        trials = 40_000
+        p = float(p_exact(n, m))
+        rec = estimate_p(n, m, trials=trials, seed=SEED + n)
+        assert abs(rec.estimate - p) <= 6 * math.sqrt(p * (1 - p) / trials)
 
 
 class TestSamplerMemory:
