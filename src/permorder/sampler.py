@@ -25,6 +25,57 @@ before it: the estimates stay unbiased, with the binomial variance.
 Stream 1, which drew every chain to its end, gives the same law; only the
 seeded hit counts differ, so records carry the stream that made them.
 
+Block reader.  For k <= 32, `getrandbits(k)` is the top k bits of the
+generator's next 32-bit output, and `getrandbits(32 * B)` holds the next B
+outputs in order, the first in the lowest bits.  So `estimate_p` may read
+each chunk's generator in blocks: `getrandbits(32 * B).to_bytes(4 * B,
+"little")` is B words of four bytes, decoded as little-endian whatever the
+host's byte order, and word i >> (32 - k) is exactly the draw
+`getrandbits(k)` would make in its place.  A first draw from n is the top
+k0 = n.bit_length() bits of a word, so the word's top byte often decides
+it.  A 256-byte class table, built once per estimate from the cycle
+lengths j <= n that divide m, marks each top byte as a reject (every x it
+can give is >= n, so the draw is redone), a miss (every x it can give is
+< n and has n - x not dividing m, so the trial ends) or open.
+`bytes.translate` classes a whole block's top bytes at once, and `find`
+and `count` step over each run of rejects and misses in C, counting the
+misses as ended trials.  Only open words, and the chains they start, are
+read in Python: the chains by `_ends_at`, drawing words from the same
+block.  Every word is consumed in the order, and with the meaning, that the
+per-draw loop gives it, so every stream-2 hit count is unchanged bit for
+bit.  A block holds at most 4096 words and no more words than trials
+left, so a short chunk reads about the words it needs; words read past
+the chunk's last trial come from the chunk's own generator, which is then
+discarded.
+
+The per-draw loop still runs where the block reader cannot serve or gives
+no gain.  It cannot serve first draws wider than 32 bits (n >= 2**32), nor
+an m whose lengths j <= n trial division up to sqrt(n) cannot settle.  It
+gives no gain where more than 1/32 of first draws continue (chains then
+dominate), where the table has more than 32 open bytes, or where the
+set-up (trial division and the table) would cost more than a small share
+of the trials.  CPU time over 10 chunks of 10 000 trials, median of 3, on a
+shared 2-vCPU x86 host, Python 3.11, in M trials/s per draw against
+blocks:
+
+  =====================  ========  =====  ======  =====
+  n, m                   continue  open   draw    block
+  =====================  ========  =====  ======  =====
+  10, 10                 40%       64     2.5     0.9
+  100, 100               9.0%      18     5.8     4.1
+  200, 200               6.0%      12     6.0     5.7
+  256, 240               7.8%      16     4.0     3.4
+  600, 720               4.8%      19     4.2     3.6
+  500, 500               2.4%      11     6.1     9.6
+  1000, 1000             1.6%      13     5.5     9.5
+  100 000, 100 000       0.04%     16     5.3     6.8
+  2**20, 720720          0.02%     18     4.3     4.6
+  2**20, 2**10 ... 13    0.2%      128    3.8     0.8
+  =====================  ========  =====  ======  =====
+
+The last row's m is 2**10 3**5 5**3 7**2 11 13.  The choice depends only
+on (n, m, trials), and no option selects a path.
+
 Parallel runs split trials into fixed-width chunks whose seeds derive from
 the master seed by an avalanche mix, so pooled hit counts are identical for
 every worker count, including one.
@@ -35,6 +86,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import struct
 from collections import Counter
 from dataclasses import dataclass
 
@@ -47,6 +99,13 @@ STREAM_VERSION = 2
 _CHUNK = 10_000
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+
+# The block reader's limits and first-draw classes (see the module docstring).
+_BLOCK = 4096
+_CONTINUE_SHARE = 32
+_MAX_OPEN = 32
+_REJECT, _MISS, _OPEN = b"r", b"m", b"o"
+_WORD = struct.Struct("<I").unpack_from
 
 
 @dataclass(frozen=True)
@@ -180,7 +239,8 @@ def _ends_at(m: int, x: int, cur: int, getrandbits) -> bool:
     """Draw the chain on from X = x, whose lengths so far have lcm cur.
 
     True iff the chain ends with order m; stops at the first length that
-    does not divide m.
+    does not divide m.  `getrandbits` is a generator's, or the block
+    reader's `draw` (x < 2**32 there).
     """
     lcm = math.lcm
     while x:
@@ -211,6 +271,128 @@ def _hits_order_eq(task: tuple[int, int, int, int]) -> int:
         if not m % (n - x) and _ends_at(m, x, n - x, getrandbits):
             hits += 1
     return hits
+
+
+def _lengths_dividing(m: int, n: int, top: int, most: int) -> list[int] | None:
+    """The cycle lengths j <= n that divide m, unsorted, or None.
+
+    Trial division runs up to `top`.  What is left of m is then 1, a prime,
+    or a cofactor whose prime factors all exceed `top`; only the last can
+    hide a length, and then None is returned, as it is when there are more
+    than `most` lengths.
+    """
+    factors = []
+    rem = m
+    p = 2
+    while p <= top and p * p <= rem:
+        if not rem % p:
+            e = 0
+            while not rem % p:
+                rem //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if p * p <= rem:
+        return None
+    if rem > 1:
+        factors.append((rem, 1))
+    lengths = [1]
+    for p, e in factors:
+        step = lengths
+        for _ in range(e):
+            step = [d * p for d in step if d * p <= n]
+            lengths += step
+        if len(lengths) > most:
+            break
+    return lengths if len(lengths) <= most else None
+
+
+def _first_draw_classes(n: int, m: int, trials: int) -> bytes | None:
+    """The class table of the block reader, or None for the per-draw loop.
+
+    Byte b of the table classes the words whose top byte is b as first
+    draws x = word >> (32 - n.bit_length()): `_REJECT` if every such x is
+    >= n, `_MISS` if every such x is < n and no n - x divides m, else
+    `_OPEN`.  None where first draws are wider than 32 bits, where more
+    than n / 32 lengths j <= n divide m, where the table has more than
+    `_MAX_OPEN` open bytes, or where the set-up would pass its budget:
+    trial division up to min(sqrt(n), trials / 16), and trials / 64
+    lengths.
+    """
+    k0 = n.bit_length()
+    if k0 > 32:
+        return None
+    lengths = _lengths_dividing(
+        m, n, min(math.isqrt(n), trials // 16),
+        min(n // _CONTINUE_SHARE, trials // 64),
+    )
+    if lengths is None:
+        return None
+    shift = 32 - k0
+    # x comes from the top bytes floor(x << shift >> 24) up to, not
+    # including, the ceiling; from n's ceiling up every x is >= n, and a
+    # byte that n does not start also gives some x < n
+    reject = -(-(n << shift) >> 24)
+    table = bytearray(_MISS * reject + _REJECT * (256 - reject))
+    if (n << shift) & 0xFFFFFF:
+        table[reject - 1] = _OPEN[0]
+    for j in lengths:
+        x = n - j
+        lo, hi = (x << shift) >> 24, -(-((x + 1) << shift) >> 24)
+        table[lo:hi] = _OPEN * (hi - lo)
+    if table.count(_OPEN) > _MAX_OPEN:
+        return None
+    return bytes(table)
+
+
+def _read_block(getrandbits, words: int, table: bytes) -> tuple[bytes, bytes]:
+    """The next `words` 32-bit draws as little-endian bytes, and their classes."""
+    buf = getrandbits(32 * words).to_bytes(4 * words, "little")
+    return buf, buf[3::4].translate(table)
+
+
+def _hits_by_blocks(task: tuple[int, int, int, int, bytes]) -> int:
+    # _hits_order_eq's trials, read from blocks of the chunk's generator
+    # (see the module docstring): runs of decided first draws are counted
+    # in C, each open word is read in place, and its chain is drawn with
+    # `draw`.  Reading every open word with `draw` too measured about 7%
+    # slower over the `points` (n, m).
+    n, m, cseed, count, table = task
+    getrandbits = random.Random(cseed).getrandbits
+    shift = 32 - n.bit_length()
+    left = count
+    buf, cls = _read_block(getrandbits, min(_BLOCK, left), table)
+    pos = 0
+
+    def draw(k: int) -> int:
+        # getrandbits(k), 1 <= k <= 32, from the block
+        nonlocal buf, cls, pos
+        if pos == len(cls):
+            buf, cls = _read_block(getrandbits, min(_BLOCK, left), table)
+            pos = 0
+        pos += 1
+        return _WORD(buf, 4 * pos - 4)[0] >> (32 - k)
+
+    hits = 0
+    while True:
+        nxt = cls.find(_OPEN, pos)
+        end = len(cls) if nxt < 0 else nxt
+        left -= cls.count(_MISS, pos, end)
+        if left <= 0:
+            return hits
+        if nxt < 0:
+            buf, cls = _read_block(getrandbits, min(_BLOCK, left), table)
+            pos = 0
+            continue
+        x = _WORD(buf, 4 * nxt)[0] >> shift
+        pos = nxt + 1
+        if x >= n:
+            continue
+        if not m % (n - x) and _ends_at(m, x, n - x, draw):
+            hits += 1
+        left -= 1
+        if not left:
+            return hits
 
 
 def _hits_collision(task: tuple[int, int, int]) -> int:
@@ -266,8 +448,13 @@ def estimate_p(
     _validate(n, trials, workers)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    tasks = [(n, m, s, c) for s, c in _chunk_plan(trials, seed)]
-    hits = sum(_pooled(_hits_order_eq, tasks, workers))
+    table = _first_draw_classes(n, m, trials)
+    if table is None:
+        tasks = [(n, m, s, c) for s, c in _chunk_plan(trials, seed)]
+        hits = sum(_pooled(_hits_order_eq, tasks, workers))
+    else:
+        tasks = [(n, m, s, c, table) for s, c in _chunk_plan(trials, seed)]
+        hits = sum(_pooled(_hits_by_blocks, tasks, workers))
     return _make_record(f"p(n={n}, m={m})", n, trials, hits, seed)
 
 

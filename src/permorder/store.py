@@ -21,10 +21,17 @@ end a line, so each append costs the same however long the log is.
 Damage anywhere earlier in a log is not self-healing and makes ``load``
 raise ``StoreError``, as do bytes that are not UTF-8, foreign schemas,
 foreign kinds and failed file I/O.  ``load`` parses each line once.
+
+Processes that share a store take turns: ``append`` holds an exclusive
+advisory ``fcntl.flock`` on the log for its tail check, repair and write,
+and ``load`` holds the same lock while it reads and repairs, so no
+process truncates a line that another is still writing.  Where the
+platform has no ``fcntl``, the store works unlocked, for one process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import logging
@@ -36,6 +43,11 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .asymptotics import CLAIM_MODE_LOCATION, VerificationReport
+
+try:
+    import fcntl
+except ImportError:  # not on every platform; the store then runs unlocked
+    fcntl = None
 
 __all__ = [
     "KIND",
@@ -202,17 +214,27 @@ class ResultStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._log = self.root / f"{KIND}.jsonl"
 
+    @contextlib.contextmanager
+    def _locked_log(self, mode: str):
+        """The log opened in `mode`, under an exclusive advisory lock.
+
+        Closing the file at the end of the block releases the lock.
+        """
+        with self._log.open(mode) as fh:
+            if fcntl is not None:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            yield fh
+
     def _repair_torn_tail(self) -> list[tuple[str, Any]]:
         """Return each complete line of the log with its parsed JSON.
 
-        A log is damaged-but-recoverable only in its final line (a write
-        that died partway), which is truncated away.  Bytes that are not
-        UTF-8 (the store writes only ASCII) or unparseable lines earlier
-        in the file mean external damage and raise.
+        The caller holds the log's lock.  A log is damaged-but-recoverable
+        only in its final line (a write that died partway), which is
+        truncated away.  Bytes that are not UTF-8 (the store writes only
+        ASCII) or unparseable lines earlier in the file mean external
+        damage and raise.
         """
         path = self._log
-        if not path.exists():
-            return []
         raw = path.read_bytes()
         keep = len(raw)
         if raw and not raw.endswith(b"\n"):
@@ -248,16 +270,13 @@ class ResultStore:
         return parsed
 
     def _ends_cleanly(self) -> bool:
-        """True if the log is absent, empty, or its last byte ends a line."""
-        try:
-            with self._log.open("rb") as fh:
-                end = fh.seek(0, os.SEEK_END)
-                if end == 0:
-                    return True
-                fh.seek(end - 1)
-                return fh.read(1) == b"\n"
-        except FileNotFoundError:
-            return True
+        """True if the log is empty or its last byte ends a line."""
+        with self._log.open("rb") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end == 0:
+                return True
+            fh.seek(end - 1)
+            return fh.read(1) == b"\n"
 
     @_os_errors_as_store_errors
     def append(self, record: ResultRecord) -> None:
@@ -265,15 +284,16 @@ class ResultStore:
 
         Only the log's last byte is read; a log that does not end in a
         newline was left torn by a crashed writer and is repaired first.
+        The log is locked from the check to the end of the write.
         """
         if record.schema_version != SCHEMA_VERSION:
             raise SchemaVersionError(
                 f"cannot append schema_version {record.schema_version}; "
                 f"this build writes {SCHEMA_VERSION}"
             )
-        if not self._ends_cleanly():
-            self._repair_torn_tail()
-        with self._log.open("ab") as fh:
+        with self._locked_log("ab") as fh:
+            if not self._ends_cleanly():
+                self._repair_torn_tail()
             fh.write(serialize_record(record).encode("utf-8") + b"\n")
 
     @_os_errors_as_store_errors
@@ -283,8 +303,12 @@ class ResultStore:
         The sort is stable: records sharing an ``n`` keep write order.
         """
         name = self._log.name
+        if not self._log.exists():
+            return []
+        with self._locked_log("rb"):
+            lines = self._repair_torn_tail()
         records = []
-        for line, obj in self._repair_torn_tail():
+        for line, obj in lines:
             try:
                 record = _record_from_json(obj)
             except StoreError:

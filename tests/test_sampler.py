@@ -15,6 +15,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from permorder import sampler
@@ -146,6 +148,28 @@ def _stream_sizes() -> list[int]:
     return sorted(sizes)
 
 
+def pin_ids(rows) -> list[str]:
+    """Test ids from each row without its last, pinned value, so that a new
+    stream edits the pins but renames no test."""
+    return ["-".join(map(str, row[:-1])) for row in rows]
+
+
+# (n, m, trials) that the block reader serves: first draws of 8 and 9 bits
+# and of 31 and 32 bits; 4096-word blocks whose ends fall inside a chunk
+# (and chunks of 10 001 and 25 001 trials); m = 1, an m no permutation of
+# [700] has (701 is prime), and the divisor-rich m = 720720.
+BLOCK_ROWS = [
+    (255, 254, 4_000), (256, 251, 4_000), (257, 257, 4_000),
+    (2**31 - 1, 2**30, 2_000), (2**31 + 1, 2**31, 3_000), (2**32 - 1, 2**31, 3_000),
+    (800, 797, 12_000), (456, 454, 25_001), (1000, 1000, 10_001),
+    (800, 1, 3_000), (700, 2 * 701, 3_000), (2**20, 720720, 16_000),
+]
+
+P_PINS = [(50, 50, 1, 406), (10, 12, 3, 3322), (800, 797, 12345, 5),
+          (600, 600, 2**64 - 1, 46)]
+COLLISION_PINS = [(10, 1, 2135), (30, 5, 333), (100, 99, 26)]
+
+
 class TestGoldenStream:
     """The sampler's draws are the plain ``randrange`` chain, bit for bit."""
 
@@ -170,11 +194,7 @@ class TestGoldenStream:
     # Hit counts of stream 2, taken from helpers.order_hits_by_randrange and
     # helpers.collision_hits_by_randrange; a change to the draw loop that
     # alters any seeded stream changes them.
-    @pytest.mark.parametrize(
-        "n, m, seed, hits",
-        [(50, 50, 1, 406), (10, 12, 3, 3322), (800, 797, 12345, 5),
-         (600, 600, 2**64 - 1, 46)],
-    )
+    @pytest.mark.parametrize("n, m, seed, hits", P_PINS, ids=pin_ids(P_PINS))
     def test_estimate_p_hits_pinned(self, n, m, seed, hits):
         trials = 30_000 if n == 10 else 20_000
         assert estimate_p(n, m, trials=trials, seed=seed).hits == hits
@@ -184,13 +204,15 @@ class TestGoldenStream:
     # lengths with m, as the reference does.  Every length up to 10 divides
     # 2520 and up to 12 divides 27720, so those chains never stop early;
     # m = 1 goes on only while every length is 1; 5000 draws from far above
-    # the first draw's bit length.
+    # the first draw's bit length.  BLOCK_ROWS take the block reader; the
+    # 33-bit first draws of n = 2**32 + 1 take the per-draw loop.
     @pytest.mark.parametrize(
         "n, m, trials",
         [(1, 1, 2_000), (3, 1, 4_000), (2, 1, 4_000), (50, 50, 4_000),
          (10, 12, 4_000), (20, 23, 2_000), (800, 1024, 2_000), (31, 30, 4_000),
          (33, 32, 4_000), (1023, 1020, 3_000), (1025, 1024, 3_000), (4, 4, 25_001),
-         (10, 2520, 4_000), (12, 27720, 4_000), (5000, 5000, 1_000)],
+         (10, 2520, 4_000), (12, 27720, 4_000), (5000, 5000, 1_000),
+         (2**32 + 1, 2**32, 2_000), *BLOCK_ROWS],
     )
     def test_estimate_p_hits_match_full_lcm_test(self, n, m, trials):
         plan = sampler._chunk_plan(trials, SEED)
@@ -209,9 +231,7 @@ class TestGoldenStream:
             helpers.collision_hits_by_randrange(n, plan)
         )
 
-    @pytest.mark.parametrize(
-        "n, seed, hits", [(10, 1, 2135), (30, 5, 333), (100, 99, 26)]
-    )
+    @pytest.mark.parametrize("n, seed, hits", COLLISION_PINS, ids=pin_ids(COLLISION_PINS))
     def test_estimate_collision_hits_pinned(self, n, seed, hits):
         assert estimate_collision(n, trials=20_000, seed=seed).hits == hits
 
@@ -219,6 +239,105 @@ class TestGoldenStream:
         assert sampler.STREAM_VERSION == 2
         assert estimate_p(4, 4, trials=100, seed=SEED).stream == 2
         assert estimate_collision(4, trials=100, seed=SEED).stream == 2
+
+
+def block_words(buf: bytes) -> list[int]:
+    return [int.from_bytes(buf[i : i + 4], "little") for i in range(0, len(buf), 4)]
+
+
+class TestBlockReader:
+    """The block reader reads the per-draw stream, word for word."""
+
+    def test_block_words_are_successive_draws(self):
+        table = bytes(range(256))
+        for seed in (0, 1, SEED, 2**64 - 1):
+            ours, ref = random.Random(seed), random.Random(seed)
+            buf, cls = sampler._read_block(ours.getrandbits, 100, table)
+            assert block_words(buf) == [ref.getrandbits(32) for _ in range(100)]
+            assert cls == buf[3::4]
+            buf, _ = sampler._read_block(ours.getrandbits, 32, table)
+            assert [w >> (32 - k) for k, w in enumerate(block_words(buf), 1)] == (
+                [ref.getrandbits(k) for k in range(1, 33)]
+            )
+            assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize(
+        "n, m", [(64, 61), (97, 97), (100, 97), (255, 254), (257, 257), (800, 797),
+                 (2049, 2048), (4095, 4094)],
+    )
+    def test_class_of_every_top_byte(self, n, m):
+        # Open exactly where some word of that top byte is a first draw
+        # that continues, or where the byte gives both x < n and x >= n.
+        table = sampler._first_draw_classes(n, m, 10**6)
+        shift = 32 - n.bit_length()
+        for b in range(256):
+            xs = range((b << 24) >> shift, (((b + 1) << 24) - 1 >> shift) + 1)
+            if all(x >= n for x in xs):
+                want = sampler._REJECT
+            elif all(x < n and m % (n - x) for x in xs):
+                want = sampler._MISS
+            else:
+                want = sampler._OPEN
+            assert table[b : b + 1] == want, b
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_hits_match_reference_at_any_block_size(self, monkeypatch, block):
+        # Small blocks put block ends inside chains, and between an open
+        # word and the chain it starts.
+        monkeypatch.setattr(sampler, "_BLOCK", block)
+        for n, m in [(800, 797), (1000, 1000), (456, 454)]:
+            plan = sampler._chunk_plan(3_000, SEED)
+            assert estimate_p(n, m, trials=3_000, seed=SEED).hits == (
+                helpers.order_hits_by_randrange(n, m, plan)
+            )
+
+    @pytest.mark.parametrize("n, m, trials", BLOCK_ROWS)
+    def test_block_rows_take_the_block_reader(self, n, m, trials):
+        assert sampler._first_draw_classes(n, m, trials) is not None
+
+    @pytest.mark.parametrize(
+        "n, m, trials",
+        [(10, 10, 10**6), (100, 100, 10**6), (600, 600, 10**6), (2**32, 2**32, 10**6),
+         (800, 797, 100), (1000, 2**61 - 1, 10**6),
+         (2**20, 2**10 * 3**5 * 5**3 * 7**2 * 11 * 13, 10**6)],
+    )
+    def test_per_draw_loop_where_blocks_give_no_gain(self, n, m, trials):
+        # more than 1/32 of first draws continue; 33-bit first draws; too
+        # few trials to pay for the table; a prime cofactor beyond the
+        # trial divisions; 128 open bytes
+        assert sampler._first_draw_classes(n, m, trials) is None
+
+    @given(
+        n=st.integers(min_value=1, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        trials=st.integers(min_value=1, max_value=12_000),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hits_match_reference(self, n, seed, trials, data):
+        m = data.draw(st.one_of(
+            st.integers(min_value=max(1, n - 12), max_value=n),
+            st.integers(min_value=1, max_value=4 * n),
+            st.sampled_from([1, 5040, 720720]),
+        ))
+        plan = sampler._chunk_plan(trials, seed)
+        assert estimate_p(n, m, trials=trials, seed=seed).hits == (
+            helpers.order_hits_by_randrange(n, m, plan)
+        )
+
+    def test_memory_does_not_grow_with_trials(self):
+        peaks = []
+        for trials in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                estimate_p(800, 797, trials=trials, seed=SEED)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one 4096-word block in three forms; the chunk plan adds a few
+        # bytes per 10 000 trials
+        assert peaks[1] < peaks[0] + 8 * 2**10
+        assert peaks[1] < 128 * 2**10
 
 
 class TestAgainstExact:
@@ -254,6 +373,11 @@ class TestWorkerPooling:
         solo = estimate_p(4, 4, trials=25_000, seed=SEED, workers=1)
         pooled = estimate_p(4, 4, trials=25_000, seed=SEED, workers=3)
         assert solo == pooled
+
+    def test_block_reader_worker_invariance(self):
+        assert sampler._first_draw_classes(800, 797, 25_000) is not None
+        solo = estimate_p(800, 797, trials=25_000, seed=SEED, workers=1)
+        assert estimate_p(800, 797, trials=25_000, seed=SEED, workers=2) == solo
 
     def test_collision_worker_invariance(self):
         solo = estimate_collision(3, trials=25_000, seed=SEED, workers=1)

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -367,6 +371,99 @@ class TestAppendCost:
         added = serialize_record(verdict(3000)).encode() + b"\n"
         assert path.read_bytes() == before + added
         assert len(store.load()) == 3001
+
+
+def start_python(code: str, *args: str) -> subprocess.Popen:
+    """A new interpreter running ``code`` with this package importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(store_module.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+# Appends records n = first..first+count-1 of the store at argv[1].
+APPENDER = """
+import sys
+from permorder.store import KIND, SCHEMA_VERSION, ResultRecord, ResultStore
+store = ResultStore(sys.argv[1])
+first, count = int(sys.argv[2]), int(sys.argv[3])
+print("ready", flush=True)
+for n in range(first, first + count):
+    payload = {"claim": "thm_1_2_mode", "holds": True, "witnesses": [], "tag": "x" * n}
+    store.append(ResultRecord(SCHEMA_VERSION, KIND, n, payload))
+"""
+
+
+@pytest.mark.skipif(store_module.fcntl is None, reason="no fcntl.flock here")
+class TestLockedLog:
+    def test_two_processes_append_whole_records(self, tmp_path):
+        procs = [start_python(APPENDER, str(tmp_path), str(first), "200")
+                 for first in (0, 1000)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        records = ResultStore(tmp_path).load()
+        assert sorted(r.n for r in records) == [*range(200), *range(1000, 1200)]
+        assert all(r.payload["tag"] == "x" * r.n for r in records)
+        lines = (tmp_path / "verification.jsonl").read_bytes().split(b"\n")
+        assert len(lines) == 401 and lines[-1] == b""
+
+    def _hold_lock(self, tmp_path, data: bytes):
+        path = tmp_path / "verification.jsonl"
+        path.write_bytes(data)
+        fh = path.open("ab")
+        store_module.fcntl.flock(fh.fileno(), store_module.fcntl.LOCK_EX)
+        return path, fh
+
+    def test_append_waits_for_the_lock(self, tmp_path):
+        # Another writer holds the lock with its line half written: the
+        # append must neither repair that line away nor write before it.
+        head = serialize_record(verdict(1)).encode() + b"\n"
+        half = serialize_record(verdict(2)).encode()
+        path, fh = self._hold_lock(tmp_path, head + half[:20])
+        proc = start_python(APPENDER, str(tmp_path), "3", "1")
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.3)
+        assert path.read_bytes() == head + half[:20]
+        fh.write(half[20:] + b"\n")
+        fh.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert [r.n for r in ResultStore(tmp_path).load()] == [1, 2, 3]
+
+    def test_load_waits_for_the_lock(self, tmp_path):
+        head = serialize_record(verdict(1)).encode() + b"\n"
+        half = serialize_record(verdict(2)).encode()
+        path, fh = self._hold_lock(tmp_path, head + half[:20])
+        proc = start_python(
+            "import sys; from permorder.store import ResultStore; "
+            "print('ready', flush=True); "
+            "print([r.n for r in ResultStore(sys.argv[1]).load()])",
+            str(tmp_path),
+        )
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.3)
+        fh.write(half[20:] + b"\n")
+        fh.close()
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out) == (0, "[1, 2]\n"), err
+        assert path.read_bytes() == head + half + b"\n"
+
+
+class TestWithoutFcntl:
+    def test_store_runs_unlocked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "fcntl", None)
+        store = ResultStore(tmp_path)
+        store.append(verdict(3))
+        store.append(verdict(4))
+        assert store.load() == [verdict(3), verdict(4)]
+
+    def test_import_does_not_need_fcntl(self):
+        proc = start_python(
+            "import sys; sys.modules['fcntl'] = None; import permorder; "
+            "from permorder import store; print(store.fcntl)"
+        )
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out) == (0, "None\n"), err
 
 
 class TestCheckpoint:
