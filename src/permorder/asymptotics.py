@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exactdist import DEFAULT_MAX_N, DEFAULT_MAX_SUPPORT, full_pmf, mode, p_exact
+from .exactdist import full_pmf, mode, p_exact
 from .numtheory import (
     FactoredInt,
     compute_forcing_set,
@@ -107,8 +107,9 @@ def predicted_point_prob(n: int, k: int) -> Fraction:
 def prediction_residual(n: int, k: int) -> Fraction:
     """|P(ord = n-k) - predicted_point_prob(n, k)|, exact.
 
-    Needs only the single-m lattice DP, so it stays feasible well past
-    the full-pmf budget.
+    Needs only `p_exact`, which counts order n-k alone by the walk over
+    long cycles plus one short-cycle column, so it stays feasible well
+    past the full-pmf budget.
     """
     return abs(p_exact(n, n - k) - predicted_point_prob(n, k))
 
@@ -163,17 +164,13 @@ def divisor_count_bound(n: int, m: FactoredInt) -> Fraction:
     return Fraction(tau(m), n)
 
 
-def verify_near_max_form(
-    n: int,
-    max_n: int = DEFAULT_MAX_N,
-    max_support: int = DEFAULT_MAX_SUPPORT,
-) -> VerificationReport:
+def verify_near_max_form(n: int) -> VerificationReport:
     """Check that every order with probability >= 1/n is n-k for a forcing k.
 
     Scans the full pmf for qualifying m (n * count >= n!) and witnesses
     each one whose offset n-m is not in the forcing set.
     """
-    pmf = full_pmf(n, max_n=max_n, max_support=max_support)
+    pmf = full_pmf(n)
     fact = math.factorial(n)
     members = set(compute_forcing_set(n).members)
     qualifying = sorted(m for m, c in pmf.entries.items() if n * c >= fact)
@@ -187,17 +184,13 @@ def verify_near_max_form(
     )
 
 
-def verify_mode_location(
-    n: int,
-    max_n: int = DEFAULT_MAX_N,
-    max_support: int = DEFAULT_MAX_SUPPORT,
-) -> VerificationReport:
+def verify_mode_location(n: int) -> VerificationReport:
     """Check that the most likely order is exactly n - max(forcing offsets).
 
     A tie counts as failure (the claim asserts a unique maximizer), with
     every tied m reported as a witness.
     """
-    result = mode(n, max_n=max_n, max_support=max_support)
+    result = mode(n)
     expected = n - compute_forcing_set(n).max_k
     holds = result.argmax == (expected,)
     return VerificationReport(
@@ -255,15 +248,11 @@ def verify_gap_inequality(n: int) -> VerificationReport:
     )
 
 
-def refined_gap(
-    n: int,
-    max_n: int = DEFAULT_MAX_N,
-    max_support: int = DEFAULT_MAX_SUPPORT,
-) -> RefinedGap:
+def refined_gap(n: int) -> RefinedGap:
     """How far the best probability sits above 1/n, scaled by n^2 / ln n."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    best = mode(n, max_n=max_n, max_support=max_support).max_prob
+    best = mode(n).max_prob
     exact_num = (best - Fraction(1, n)) * n * n
     return RefinedGap(n=n, exact_num=exact_num, ratio=float(exact_num) / math.log(n))
 

@@ -32,10 +32,18 @@ drops on the falling-factorial recursion of `count_lengths_divide`, and
 The cross-checks that share nothing with these are the inclusion-exclusion
 route, brute-force enumeration (`brute_force_pmf`) and the reference code
 in tests/helpers.py.
+
+Every size limit is a module constant, read when the call is made:
+DEFAULT_MAX_N and DEFAULT_MAX_SUPPORT for the full pmf and everything
+read off it, P_EXACT_MAX_N for point queries and TAIL_MAX_BITS for the
+cutoff of `tail_max`.  The support budget is checked as the support is
+enumerated, the others before any work.  Raising a budget means
+assigning the constant, e.g. ``exactdist.DEFAULT_MAX_N = 120``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -60,6 +68,10 @@ DEFAULT_MAX_N = 100
 # n = 100 000 it would need about 19 GB.
 P_EXACT_MAX_N = 10_000
 DEFAULT_MAX_SUPPORT = 5_000_000
+# tail_max(100, 1/107 141), a cutoff of 749 994 bits, took 0.88 s with
+# full_pmf(100) already cached, on a 2-vCPU host; its 15 powers m**q cost
+# about q^1.6 (0.27 s at q = 5 * 10^4, 0.78 s at 10^5).
+TAIL_MAX_BITS = 750_000
 BRUTE_FORCE_LIMIT = 9
 
 
@@ -215,7 +227,8 @@ def count_order_exactly_mobius(n: int, f: FactoredInt) -> int:
     p | m, some cycle length carries p's full power in m.  Replacing the
     exponent of p by one less captures the permutations that miss that
     full power, so alternating over subsets of the primes of m isolates
-    the exact count.  Deliberately independent of the lattice DP route.
+    the exact count.  Deliberately independent of the walk-plus-column
+    route of `p_exact`.
     """
     pf = f.factors
     total = 0
@@ -355,7 +368,8 @@ def p_exact(n: int, m: int) -> Fraction:
 
 
 # One entry holds up to max_support ints (18 663 at n = 100, about 0.7 MB),
-# and callers reuse only the n they are working on.
+# and callers reuse only the n they are working on.  The budget is part of
+# the key, so a lowered DEFAULT_MAX_SUPPORT is never served a cached answer.
 @lru_cache(maxsize=4)
 def _support_values(n: int, max_support: int) -> tuple[int, ...]:
     primes = primes_up_to(n)
@@ -381,16 +395,17 @@ def _support_values(n: int, max_support: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def support(n: int, max_support: int = DEFAULT_MAX_SUPPORT) -> list[int]:
+def support(n: int) -> list[int]:
     """All achievable orders of a permutation of [n], sorted ascending.
 
     These are exactly the m whose maximal prime-power parts sum to at
     most n; enumerated by a DFS that assigns each prime an exponent and
-    charges p^e against the remaining budget.
+    charges p^e against the remaining budget.  More than
+    DEFAULT_MAX_SUPPORT orders raise `BudgetExceededError`.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return list(_support_values(n, max_support))
+    return list(_support_values(n, DEFAULT_MAX_SUPPORT))
 
 
 def _small_cycle_limit(n: int) -> int:
@@ -505,6 +520,7 @@ def _cycle_tables(n: int, t: int) -> _Tables:
     return tables
 
 
+# Keyed on the support budget as well, like `_support_values`.
 @lru_cache(maxsize=1)
 def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
     entries = dict.fromkeys(_support_values(n, max_support), 0)
@@ -550,11 +566,7 @@ def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(entries.items()))
 
 
-def full_pmf(
-    n: int,
-    max_n: int = DEFAULT_MAX_N,
-    max_support: int = DEFAULT_MAX_SUPPORT,
-) -> OrderPmf:
+def full_pmf(n: int) -> OrderPmf:
     """The complete exact pmf of the order, as counts out of n!.
 
     Computed by merging the small- and long-cycle tables of
@@ -562,22 +574,19 @@ def full_pmf(
     point counts share one divide-count route.  The counts must sum to n!
     and the nonzero keys must equal support(n), which checks the whole
     result: a product outside support(n), a zero count or a wrong total
-    raises RuntimeError.
+    raises RuntimeError.  An n above DEFAULT_MAX_N, or a support larger
+    than DEFAULT_MAX_SUPPORT, raises `BudgetExceededError`.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise BudgetExceededError(f"n={n} exceeds max_n={max_n}")
-    return OrderPmf(n=n, entries=dict(_full_counts(n, max_support)))
+    if n > DEFAULT_MAX_N:
+        raise BudgetExceededError(f"n={n} exceeds max_n={DEFAULT_MAX_N}")
+    return OrderPmf(n=n, entries=dict(_full_counts(n, DEFAULT_MAX_SUPPORT)))
 
 
-def mode(
-    n: int,
-    max_n: int = DEFAULT_MAX_N,
-    max_support: int = DEFAULT_MAX_SUPPORT,
-) -> ModeResult:
+def mode(n: int) -> ModeResult:
     """All most-likely orders: every argmax of the exact pmf, ties kept."""
-    entries = full_pmf(n, max_n=max_n, max_support=max_support).entries
+    entries = full_pmf(n).entries
     best = max(entries.values())
     argmax = tuple(sorted(m for m, c in entries.items() if c == best))
     return ModeResult(
@@ -585,44 +594,41 @@ def mode(
     )
 
 
-def collision_norm(
-    n: int,
-    max_n: int = DEFAULT_MAX_N,
-    max_support: int = DEFAULT_MAX_SUPPORT,
-) -> Fraction:
+def collision_norm(n: int) -> Fraction:
     """P(two independent uniform permutations of [n] have the same order)."""
-    pmf = full_pmf(n, max_n=max_n, max_support=max_support)
+    pmf = full_pmf(n)
     fact_sq = math.factorial(n) ** 2
     return Fraction(sum(c * c for c in pmf.entries.values()), fact_sq)
 
 
-def tail_max(
-    n: int,
-    eps: Fraction | int | str,
-    max_n: int = DEFAULT_MAX_N,
-    max_support: int = DEFAULT_MAX_SUPPORT,
-) -> tuple[int, Fraction] | None:
+def tail_max(n: int, eps: Fraction | int | str) -> tuple[int, Fraction] | None:
     """Most likely order among those >= n^(1+eps); None if that tail is empty.
 
     eps must be a positive rational p/q; the cutoff m >= n^(1+p/q) is
-    evaluated exactly as m**q >= n**(p+q).  On tied counts the smallest
-    qualifying m is returned.
+    evaluated exactly as m**q >= n**(p+q).  That test is monotone in m, so
+    the first qualifying m is found by bisecting the sorted support, with
+    about log2 |support| powers.  On tied counts the smallest qualifying m
+    is returned.  A cutoff of more than TAIL_MAX_BITS bits, counted as
+    (p + q) * n.bit_length(), raises `BudgetExceededError` before any work.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
     p, q = eps.numerator, eps.denominator
-    pmf = full_pmf(n, max_n=max_n, max_support=max_support)
+    bits = (p + q) * n.bit_length()
+    if bits > TAIL_MAX_BITS:
+        raise BudgetExceededError(
+            f"cutoff n**(p+q) of up to {bits} bits exceeds TAIL_MAX_BITS={TAIL_MAX_BITS}"
+        )
+    entries = full_pmf(n).entries
+    orders = sorted(entries)
     cutoff = n ** (p + q)
-    best: tuple[int, int] | None = None  # (count, m)
-    for m in sorted(pmf.entries):
-        if m**q >= cutoff:
-            c = pmf.entries[m]
-            if best is None or c > best[0]:
-                best = (c, m)
-    if best is None:
+    start = bisect.bisect_left(orders, True, key=lambda m: m**q >= cutoff)
+    if start == len(orders):
         return None
-    return best[1], Fraction(best[0], math.factorial(n))
+    # max keeps the first of equal counts, so ties go to the smallest m.
+    m = max(orders[start:], key=entries.__getitem__)
+    return m, Fraction(entries[m], math.factorial(n))
 
 
 def count_restricted_cycles(n: int, cycles: int, allowed: Iterable[int]) -> int:

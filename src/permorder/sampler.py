@@ -96,6 +96,9 @@ from .exactdist import brute_force_pmf
 # counts are reproducible only under the same version.
 STREAM_VERSION = 2
 
+# `chi_square_vs_exact` passes when its p-value is at least this level.
+CHI_SQUARE_SIGNIFICANCE = 1e-3
+
 _CHUNK = 10_000
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -153,7 +156,7 @@ class ChiSquareResult:
     p_value: float
     passed: bool
     seed: int
-    significance: float = 1e-3
+    significance: float
 
 
 def _sample_lengths(n: int, rng: random.Random) -> list[int]:
@@ -484,14 +487,13 @@ def chi_square_vs_exact(
     trials: int,
     seed: int,
     workers: int = 1,
-    significance: float = 1e-3,
 ) -> ChiSquareResult:
     """Pearson goodness-of-fit of sampled orders against the exact pmf.
 
     Limited to n <= 8, where the exact pmf comes from the independent
     brute-force enumeration.  Requires every expected bin count to be at
     least 5 (the rarest order is the identity's, with probability 1/n!),
-    and tests at the given significance level.
+    and tests at level CHI_SQUARE_SIGNIFICANCE.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"need 1 <= n <= 8, got {n}")
@@ -517,30 +519,20 @@ def chi_square_vs_exact(
         )
 
     dof = len(exact) - 1
-    if dof == 0:
-        return ChiSquareResult(
-            n=n,
-            trials=trials,
-            statistic=0.0,
-            dof=0,
-            p_value=1.0,
-            passed=True,
-            seed=seed,
-            significance=significance,
-        )
     statistic = 0.0
     for m_val, c in exact.items():
         expected = trials * c / fact
         diff = observed.get(m_val, 0) - expected
         statistic += diff * diff / expected
-    p_value = _chi2_sf(statistic, dof)
+    # n = 1 has one bin, which every trial fills: nothing to test.
+    p_value = _chi2_sf(statistic, dof) if dof else 1.0
     return ChiSquareResult(
         n=n,
         trials=trials,
         statistic=statistic,
         dof=dof,
         p_value=p_value,
-        passed=p_value >= significance,
+        passed=p_value >= CHI_SQUARE_SIGNIFICANCE,
         seed=seed,
-        significance=significance,
+        significance=CHI_SQUARE_SIGNIFICANCE,
     )

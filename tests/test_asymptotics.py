@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from permorder import exactdist
 from permorder.asymptotics import (
     CLAIM_FINAL_INEQUALITY,
     CLAIM_MODE_LOCATION,
@@ -261,13 +262,14 @@ class TestVerifyModeLocation:
             assert report.claim == CLAIM_MODE_LOCATION
             assert report.details["expected"] == expected
 
-    def test_frontier_61_to_120(self):
+    def test_frontier_61_to_120(self, monkeypatch):
         # Past the acceptance scan's 2..60 the counterexamples are these,
         # with their argmax; every other n up to 120 holds.  Each count is
         # checked against the inclusion-exclusion route.
         counterexamples = {67: (60,), 72: (72,), 84: (84,), 90: (90,), 120: (120,)}
+        monkeypatch.setattr(exactdist, "DEFAULT_MAX_N", 120)
         for n in range(61, 121):
-            report = verify_mode_location(n, max_n=120)
+            report = verify_mode_location(n)
             expected = report.details["expected"]
             expected_count = count_order_exactly_mobius(n, factorize(expected))
             if n in counterexamples:

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from permorder import cli, numtheory, sampler
+from permorder import cli, exactdist, numtheory, sampler
 from permorder.asymptotics import (
     prediction_residual,
     verify_gap_inequality,
@@ -233,6 +233,13 @@ class TestMode:
         assert row["argmax"] == [4]
         assert row["max_prob"] == "1/4"
 
+    def test_raised_budget_is_served(self, capsys, monkeypatch):
+        monkeypatch.setattr(exactdist, "DEFAULT_MAX_N", 101)
+        code, out, _ = run_cli(capsys, "mode", "--n", "101", "--format", "json")
+        assert code == 0
+        (row,) = json_rows(out)
+        assert row["n"] == 101
+
     def test_range_csv(self, capsys):
         code, out, _ = run_cli(capsys, "mode", "--n", "3..6", "--format", "csv")
         assert code == 0
@@ -361,6 +368,12 @@ class TestTailMax:
     def test_bad_eps(self, capsys):
         code, _, _ = run_cli(capsys, "tail-max", "--n", "5", "--eps", "0/1")
         assert code == 2
+
+    def test_huge_denominator_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "tail-max", "--n", "40", "--eps", "1/10000000")
+        assert code == 1
+        assert err.startswith("resource limit exceeded:")
+        assert out == ""
 
 
 class TestSample:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 
 import helpers
 from permorder import exactdist, numtheory
+from permorder.asymptotics import verify_mode_location
 from permorder.exactdist import (
     DEFAULT_MAX_N,
     P_EXACT_MAX_N,
+    TAIL_MAX_BITS,
     BudgetExceededError,
     brute_force_joint,
     brute_force_pmf,
@@ -334,9 +337,10 @@ class TestSupport:
             lcms = {helpers.lcm_of(parts) for parts in helpers.partitions(n)}
             assert set(support(n)) == lcms
 
-    def test_budget_error_names_size(self):
+    def test_budget_error_names_size(self, monkeypatch):
+        monkeypatch.setattr(exactdist, "DEFAULT_MAX_SUPPORT", 10)
         with pytest.raises(BudgetExceededError) as exc:
-            support(40, max_support=10)
+            support(40)
         assert "10" in str(exc.value)
 
 
@@ -370,11 +374,12 @@ class TestFullPmf:
                     count = full_pmf(n).entries.get(n - k, 0)
                     assert count * (n - k) >= math.factorial(n)
 
-    def test_budget_errors(self):
+    def test_budget_errors(self, monkeypatch):
         with pytest.raises(BudgetExceededError):
             full_pmf(101)
+        monkeypatch.setattr(exactdist, "DEFAULT_MAX_SUPPORT", 5)
         with pytest.raises(BudgetExceededError):
-            full_pmf(30, max_support=5)
+            full_pmf(30)
 
 
 class TestSmallCycleKernel:
@@ -479,8 +484,9 @@ def table_builds(monkeypatch, cold_slot):
 
 class TestGroupedMergeAndTableSlot:
     @pytest.mark.parametrize("n", sorted(FULL_PMF_DIGESTS))
-    def test_pinned_digests(self, n):
-        entries = full_pmf(n, max_n=max(FULL_PMF_DIGESTS)).entries
+    def test_pinned_digests(self, monkeypatch, n):
+        monkeypatch.setattr(exactdist, "DEFAULT_MAX_N", max(FULL_PMF_DIGESTS))
+        entries = full_pmf(n).entries
         digest = hashlib.sha256(repr(sorted(entries.items())).encode()).hexdigest()
         assert digest == FULL_PMF_DIGESTS[n]
 
@@ -713,11 +719,13 @@ class TestTailMax:
         assert tail_max(4, Fraction(1, 2)) is None  # support(4) tops out at 4
 
     def test_consistency_with_pmf(self):
-        for n in range(2, 21):
-            eps = Fraction(1, 4)
+        # Every m of the pmf tested in turn, as the benchmark's oracle does.
+        grid = [Fraction(p, q) for p in (1, 2, 3, 7) for q in (1, 2, 3, 4, 10, 100, 1000)]
+        for n, eps in itertools.product(range(1, 41), grid):
+            p, q = eps.numerator, eps.denominator
             res = tail_max(n, eps)
             pmf = full_pmf(n).entries
-            candidates = {m: c for m, c in pmf.items() if m**4 >= n**5}
+            candidates = {m: c for m, c in pmf.items() if m**q >= n ** (p + q)}
             if not candidates:
                 assert res is None
             else:
@@ -732,3 +740,41 @@ class TestTailMax:
             tail_max(5, Fraction(0))
         with pytest.raises(ValueError):
             tail_max(5, Fraction(-1, 2))
+
+    def test_huge_cutoff_raises_before_any_work(self, monkeypatch):
+        def no_work(n):
+            raise AssertionError("full_pmf reached")
+
+        monkeypatch.setattr(exactdist, "full_pmf", no_work)
+        for eps in (Fraction(1, 10**7), Fraction(0.1), Fraction(10**9)):
+            with pytest.raises(BudgetExceededError, match=f"TAIL_MAX_BITS={TAIL_MAX_BITS}"):
+                tail_max(40, eps)
+
+    def test_bound_is_read_at_call_time(self, monkeypatch):
+        # n = 5 has 3 bits and eps = 1/10 gives p + q = 11: 33 bits.
+        monkeypatch.setattr(exactdist, "TAIL_MAX_BITS", 33)
+        assert tail_max(5, Fraction(1, 10)) == (6, Fraction(1, 6))
+        monkeypatch.setattr(exactdist, "TAIL_MAX_BITS", 32)
+        with pytest.raises(BudgetExceededError, match="33 bits"):
+            tail_max(5, Fraction(1, 10))
+
+
+class TestBudgetsReadAtCallTime:
+    def test_raised_max_n_is_served(self, monkeypatch):
+        monkeypatch.setattr(exactdist, "DEFAULT_MAX_N", 101)
+        assert sum(full_pmf(101).entries.values()) == math.factorial(101)
+        result = mode(101)
+        (m,) = result.argmax
+        assert result.max_count == count_order_exactly_mobius(101, factorize(m))
+        report = verify_mode_location(101)
+        assert report.n == 101
+        assert report.details["max_count"] == result.max_count
+
+    def test_lowered_support_budget_beats_the_cache(self, monkeypatch):
+        full_pmf(30)
+        support(40)
+        monkeypatch.setattr(exactdist, "DEFAULT_MAX_SUPPORT", len(support(30)) - 1)
+        with pytest.raises(BudgetExceededError):
+            full_pmf(30)
+        with pytest.raises(BudgetExceededError):
+            support(40)
