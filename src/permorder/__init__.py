@@ -43,7 +43,7 @@ from .sampler import (
     estimate_p,
     sample_cycle_type,
 )
-from .store import ResultRecord, ResultStore, SchemaVersionError
+from .store import ResultStore, SchemaVersionError
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "ModeResult",
     "OrderPmf",
     "RefinedGap",
-    "ResultRecord",
     "ResultStore",
     "SchemaVersionError",
     "VerificationReport",

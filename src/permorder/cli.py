@@ -12,8 +12,9 @@ directly.  Between parsing and the handler, ``main`` makes the checks
 argparse cannot (the ``--n`` range, then ``--trials`` and ``--threads``
 at least 1) and fills in the default cache directory.  A handler raises
 ``ValueError`` for a rule of its own subcommand: a single n, ``--m``
-with ``sample p`` only, the ``bounds-check`` limit.  Stored verdicts are
-written and read back by ``store`` alone.
+with ``sample p`` only, the ``bounds-check`` limit.  ``scan-counterexamples``
+hands claim reports to the result store and gets them back; only
+``store`` knows how a verdict is written on disk.
 
 Exit codes: 0 success (and, for checking commands, every claim holds);
 3 the run completed but found counterexamples; 2 usage error;
@@ -37,6 +38,7 @@ from typing import Any, Callable, Sequence
 
 from .asymptotics import (
     CLAIM_MODE_LOCATION,
+    VerificationReport,
     divisor_count_bound,
     divisor_sum_bound,
     predicted_point_prob,
@@ -60,15 +62,7 @@ from .exactdist import (
 )
 from .numtheory import DivisorLattice, compute_forcing_set, factorize, landau_table
 from .sampler import _pooled, estimate_collision, estimate_p
-from .store import (
-    ResultRecord,
-    ResultStore,
-    StoreError,
-    frac_str,
-    jsonify,
-    verification_record,
-    verification_report,
-)
+from .store import ResultStore, StoreError, frac_str, jsonify
 
 __all__ = ["main", "parse_range"]
 
@@ -417,11 +411,8 @@ def _cmd_bounds_check(args: argparse.Namespace) -> tuple[list[dict[str, Any]], i
     return rows, code
 
 
-def _scan_row(record: ResultRecord) -> dict[str, Any] | None:
-    """The output row of a stored mode-location verdict, None for other claims."""
-    report = verification_report(record)
-    if report.claim != CLAIM_MODE_LOCATION:
-        return None
+def _scan_row(report: VerificationReport) -> dict[str, Any]:
+    """The output row of a mode-location verdict, stored or fresh."""
     return {
         "n": report.n,
         "holds": report.holds,
@@ -433,25 +424,24 @@ def _scan_row(record: ResultRecord) -> dict[str, Any] | None:
 def _cmd_scan(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
     lo, hi = args.n[0], args.n[-1]
     store = ResultStore(args.cache_dir)
-    rows_by_n: dict[int, dict[str, Any]] = {}
-    for rec in store.load(lo, hi):
-        row = _scan_row(rec)
-        if row is not None:
-            rows_by_n[rec.n] = row
+    rows_by_n = {
+        report.n: _scan_row(report)
+        for report in store.load(lo, hi)
+        if report.claim == CLAIM_MODE_LOCATION
+    }
     todo = [n for n in args.n if n not in rows_by_n]
     print(f"scan {lo}..{hi}: {len(rows_by_n)} cached, {len(todo)} to compute",
           file=sys.stderr)
 
     for report in _pooled(verify_mode_location, todo, args.threads):
-        record = verification_record(report)
-        store.append(record)
+        store.append(report)
         verdict = (
             "holds"
             if report.holds
             else f"COUNTEREXAMPLE argmax={list(report.witnesses)}"
         )
         print(f"n={report.n}: {verdict}", file=sys.stderr)
-        rows_by_n[report.n] = _scan_row(record)
+        rows_by_n[report.n] = _scan_row(report)
 
     rows = [rows_by_n[n] for n in sorted(rows_by_n)]
     code = EXIT_OK if all(r["holds"] for r in rows) else EXIT_COUNTEREXAMPLES

@@ -419,11 +419,15 @@ def _order_histogram(task: tuple[int, int, int]) -> dict[int, int]:
     return counts
 
 
-def _validate(n: int, trials: int, workers: int) -> None:
+def _validate(n: int, trials: int, seed: int, workers: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    # Chunk seeds are taken mod 2**64, so a seed outside the range would
+    # alias the stream of one inside it.
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"need 0 <= seed < 2**64, got {seed}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
 
@@ -448,7 +452,7 @@ def estimate_p(
     n: int, m: int, trials: int, seed: int, workers: int = 1
 ) -> EstimateRecord:
     """Monte Carlo estimate of P(ord = m), deterministic given the seed."""
-    _validate(n, trials, workers)
+    _validate(n, trials, seed, workers)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     table = _first_draw_classes(n, m, trials)
@@ -469,7 +473,7 @@ def estimate_collision(
     Each trial draws two independent cycle types; unbiased for the
     squared 2-norm of the order pmf.
     """
-    _validate(n, trials, workers)
+    _validate(n, trials, seed, workers)
     tasks = [(n, s, c) for s, c in _chunk_plan(trials, seed)]
     hits = sum(_pooled(_hits_collision, tasks, workers))
     return _make_record(f"collision(n={n})", n, trials, hits, seed)
@@ -497,7 +501,7 @@ def chi_square_vs_exact(
     """
     if not 1 <= n <= 8:
         raise ValueError(f"need 1 <= n <= 8, got {n}")
-    _validate(n, trials, workers)
+    _validate(n, trials, seed, workers)
     exact = brute_force_pmf(n).entries
     fact = math.factorial(n)
     min_count = min(exact.values())

@@ -2,16 +2,16 @@
 
 The store keeps one line-delimited log, ``verification.jsonl``, under a
 root directory; ``scan-counterexamples`` reads it to skip every n it has
-already decided, so the log itself is the scan's resume state.  Records
-are self-describing JSON objects carrying a kind tag and a schema
-version, and integers that may exceed the double-precision range are
-stored as decimal strings so every value survives a round trip byte for
-byte.
+already decided, so the log itself is the scan's resume state.
+`ResultStore.append` takes a `VerificationReport` and `ResultStore.load`
+returns them.  Each line is a self-describing JSON object carrying a kind
+tag and a schema version, and integers that may exceed the
+double-precision range are stored as decimal strings so every value
+survives a round trip byte for byte.
 
-This module alone knows the verdict payload: `verification_record`
-writes a `VerificationReport` as a record and `verification_report`
-reads it back, rejecting with ``StoreError`` anything the writer could
-not have produced.
+This module alone knows the verdict payload: `_verdict_line` writes a
+report as one line and `_verdict_report` reads it back, rejecting with
+``StoreError`` anything the writer could not have produced.
 
 Crash tolerance is deliberately minimal: a write interrupted mid-line
 leaves a torn final record, which ``load`` repairs by truncating the file
@@ -37,7 +37,6 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -52,15 +51,11 @@ except ImportError:  # not on every platform; the store then runs unlocked
 __all__ = [
     "KIND",
     "SCHEMA_VERSION",
-    "ResultRecord",
     "ResultStore",
     "SchemaVersionError",
     "StoreError",
     "frac_str",
     "jsonify",
-    "serialize_record",
-    "verification_record",
-    "verification_report",
 ]
 
 logger = logging.getLogger(__name__)
@@ -83,46 +78,6 @@ class SchemaVersionError(StoreError):
 def frac_str(value: Fraction) -> str:
     """Render a rational as ``numerator/denominator``, always with the slash."""
     return f"{value.numerator}/{value.denominator}"
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    """One stored verdict: the kind tag, the size ``n`` it concerns, a payload."""
-
-    schema_version: int
-    kind: str
-    n: int
-    payload: Mapping[str, Any]
-
-    def __post_init__(self) -> None:
-        if self.kind != KIND:
-            raise ValueError(f"unknown record kind {self.kind!r}")
-        if type(self.n) is not int:
-            raise TypeError(f"n must be an int, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-
-
-def serialize_record(record: ResultRecord) -> str:
-    """One canonical JSON line (sorted keys, no whitespace, no newline)."""
-    obj = {
-        "schema_version": record.schema_version,
-        "kind": record.kind,
-        "n": record.n,
-        "payload": record.payload,
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _record_from_json(obj: Any) -> ResultRecord:
-    version = obj["schema_version"]
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"record has schema_version {version}, this build reads {SCHEMA_VERSION}"
-        )
-    return ResultRecord(
-        schema_version=version, kind=obj["kind"], n=obj["n"], payload=obj["payload"]
-    )
 
 
 def jsonify(value: Any) -> Any:
@@ -152,21 +107,36 @@ def jsonify(value: Any) -> Any:
     return convert(value)
 
 
-def verification_record(report: VerificationReport) -> ResultRecord:
+def _check_n(n: Any) -> None:
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+
+def _verdict_line(report: VerificationReport) -> str:
+    """The report as one canonical JSON line: sorted keys, no spaces, no newline."""
+    _check_n(report.n)
     payload = {
         "claim": report.claim,
         "holds": report.holds,
         "witnesses": [str(w) for w in report.witnesses],
         "details": jsonify(report.details),
     }
-    return ResultRecord(SCHEMA_VERSION, KIND, report.n, payload)
+    obj = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": KIND,
+        "n": report.n,
+        "payload": payload,
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def verification_report(record: ResultRecord) -> VerificationReport:
-    """Inverse of `verification_record`: the report a stored verdict holds.
+def _verdict_report(n: int, payload: Any) -> VerificationReport:
+    """Inverse of `_verdict_line`: the report a stored verdict holds.
 
     ``details`` come back in their stored JSON form.  Anything
-    `verification_record` would not have written raises `StoreError`: a
+    `_verdict_line` would not have written raises `StoreError`: a
     non-bool ``holds``, a witness that is not the decimal string of a
     positive int, an unknown claim tag or witnesses that do not match
     ``holds`` (both checked by `VerificationReport`), or a mode-location
@@ -174,7 +144,6 @@ def verification_report(record: ResultRecord) -> VerificationReport:
     ``scan-counterexamples`` reports.
     """
     try:
-        payload = record.payload
         holds = payload["holds"]
         if type(holds) is not bool:
             raise TypeError(f"holds is {holds!r}")
@@ -188,10 +157,10 @@ def verification_report(record: ResultRecord) -> VerificationReport:
         if payload["claim"] == CLAIM_MODE_LOCATION and type(details["expected"]) is not int:
             raise TypeError(f"expected is {details['expected']!r}")
         return VerificationReport(
-            record.n, payload["claim"], holds, tuple(map(int, witnesses)), details
+            n, payload["claim"], holds, tuple(map(int, witnesses)), details
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"malformed cached verdict for n={record.n} ({exc!r})") from exc
+        raise StoreError(f"malformed cached verdict for n={n} ({exc!r})") from exc
 
 
 def _os_errors_as_store_errors(method):
@@ -279,51 +248,57 @@ class ResultStore:
             return fh.read(1) == b"\n"
 
     @_os_errors_as_store_errors
-    def append(self, record: ResultRecord) -> None:
-        """Add one record at the end of the log.
+    def append(self, report: VerificationReport) -> None:
+        """Add one verdict at the end of the log.
 
         Only the log's last byte is read; a log that does not end in a
         newline was left torn by a crashed writer and is repaired first.
         The log is locked from the check to the end of the write.
         """
-        if record.schema_version != SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"cannot append schema_version {record.schema_version}; "
-                f"this build writes {SCHEMA_VERSION}"
-            )
+        line = _verdict_line(report).encode("utf-8") + b"\n"
         with self._locked_log("ab") as fh:
             if not self._ends_cleanly():
                 self._repair_torn_tail()
-            fh.write(serialize_record(record).encode("utf-8") + b"\n")
+            fh.write(line)
 
     @_os_errors_as_store_errors
-    def load(self, lo: int | None = None, hi: int | None = None) -> list[ResultRecord]:
-        """All records with ``lo <= n <= hi``, sorted by ``n``.
+    def load(
+        self, lo: int | None = None, hi: int | None = None
+    ) -> list[VerificationReport]:
+        """All verdicts with ``lo <= n <= hi``, sorted by ``n``.
 
-        The sort is stable: records sharing an ``n`` keep write order.
+        The sort is stable: verdicts sharing an ``n`` keep write order.
+        The header of every line is checked (schema, kind, n), then the
+        payload of each line in range.
         """
         name = self._log.name
         if not self._log.exists():
             return []
         with self._locked_log("rb"):
             lines = self._repair_torn_tail()
-        records = []
+        kept = []
         for line, obj in lines:
             try:
-                record = _record_from_json(obj)
+                version = obj["schema_version"]
+                if type(version) is not int or version != SCHEMA_VERSION:
+                    raise SchemaVersionError(
+                        f"record has schema_version {version}, "
+                        f"this build reads {SCHEMA_VERSION}"
+                    )
+                kind, n, payload = obj["kind"], obj["n"], obj["payload"]
+                if kind != KIND:
+                    raise ValueError(f"unknown record kind {kind!r}")
+                _check_n(n)
             except StoreError:
                 raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise StoreError(
                     f"{name}: malformed record {line[:60]!r} ({exc})"
                 ) from exc
-            if lo is not None and record.n < lo:
-                continue
-            if hi is not None and record.n > hi:
-                continue
-            records.append(record)
-        records.sort(key=lambda r: r.n)
-        return records
+            if (lo is None or lo <= n) and (hi is None or n <= hi):
+                kept.append((n, payload))
+        kept.sort(key=lambda entry: entry[0])
+        return [_verdict_report(n, payload) for n, payload in kept]
 
     # Nothing in the package writes or reads a checkpoint; the two methods
     # stay only because bench/tracing.py wraps them by name.

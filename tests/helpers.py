@@ -15,8 +15,12 @@ from functools import lru_cache
 from itertools import permutations
 
 
-# Result-store lines byte for byte as the first release of the store wrote
-# them (``scan-counterexamples --n 5..6``); existing cache dirs hold these.
+# Result-store lines byte for byte as earlier releases of the store wrote
+# them; existing cache dirs hold these.  The first two are
+# ``scan-counterexamples --n 5..6``; the last two are the verdicts of
+# `verify_near_max_form(12)` (two witnesses) and `verify_gap_inequality(12)`
+# (Fractions in its details).  They are in n order, so a load returns them
+# in this order.
 STORED_VERDICT_LINES = (
     '{"kind":"verification","n":5,"payload":{"claim":"thm_1_2_mode",'
     '"details":{"expected":4,"max_count":30},"holds":true,"witnesses":[]},'
@@ -24,6 +28,13 @@ STORED_VERDICT_LINES = (
     '{"kind":"verification","n":6,"payload":{"claim":"thm_1_2_mode",'
     '"details":{"expected":4,"max_count":240},"holds":false,"witnesses":["6"]},'
     '"schema_version":1}',
+    '{"kind":"verification","n":12,"payload":{"claim":"thm_1_1_form",'
+    '"details":{"qualifying":[6,8,10,11,12]},"holds":false,"witnesses":["6","8"]},'
+    '"schema_version":1}',
+    '{"kind":"verification","n":12,"payload":{"claim":"final_inequality",'
+    '"details":{"checks":[{"divisible":true,"holds":true,"k":0,"lhs":"2/75",'
+    '"rhs":"1/144"},{"divisible":true,"holds":true,"k":1,"lhs":"21/1100",'
+    '"rhs":"1/121"}],"k0":2},"holds":true,"witnesses":[]},"schema_version":1}',
 )
 
 def partitions(n: int, max_part: int | None = None):

@@ -10,6 +10,7 @@ determinism.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -30,12 +31,11 @@ from permorder.asymptotics import (
     verify_near_max_form,
 )
 from permorder.cli import main, parse_range
-from permorder.store import (
-    ResultStore,
-    serialize_record,
-    verification_record,
-    verification_report,
-)
+from permorder.store import ResultStore
+
+# sha256 of the log `scan-counterexamples --n 2..30` writes into an empty
+# store: it holds multi-witness rows and counts past 2**53.
+SCAN_2_30_LOG_SHA256 = "754ab9be7be4512179d578848f5529c50c0e13d31ef49b37017241c431055ab2"
 
 
 def run_cli(capsys, *argv):
@@ -413,6 +413,15 @@ class TestSample:
         _, out2, _ = run_cli(capsys, *args, "--seed", seed)
         assert out2 == out1
 
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, seed):
+        # Chunk seeds are taken mod 2**64, so these would alias 2**64 - 3 and 0.
+        code, out, err = run_cli(capsys, "sample", "p", "--n", "200", "--m", "200",
+                                 "--trials", "1000", "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and "seed" in err
+
     def test_threads_do_not_change_output(self, capsys):
         base = ("sample", "p", "--n", "4", "--m", "4", "--trials", "30000",
                 "--seed", "5", "--format", "json")
@@ -562,17 +571,26 @@ class TestScanCounterexamples:
 
     def test_scanned_lines_reencode_byte_for_byte(self, capsys, tmp_path):
         run_cli(capsys, "scan-counterexamples", "--n", "2..12", "--cache-dir", str(tmp_path))
-        lines = (tmp_path / "verification.jsonl").read_text().splitlines()
-        records = ResultStore(tmp_path).load()
-        assert len(records) == len(lines) == 11
-        again = [verification_record(verification_report(r)) for r in records]
-        assert [serialize_record(r) for r in again] == lines
+        text = (tmp_path / "verification.jsonl").read_text()
+        reports = ResultStore(tmp_path).load()
+        assert len(reports) == len(text.splitlines()) == 11
+        again = ResultStore(tmp_path / "again")
+        for report in reports:
+            again.append(report)
+        assert (tmp_path / "again" / "verification.jsonl").read_text() == text
+
+    def test_scan_log_bytes_are_pinned(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "scan-counterexamples", "--n", "2..30",
+                             "--cache-dir", str(tmp_path))
+        assert code == 3
+        data = (tmp_path / "verification.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == SCAN_2_30_LOG_SHA256
 
     def test_records_of_other_claims_are_skipped(self, capsys, tmp_path):
         store = ResultStore(tmp_path)
         for report in (verify_near_max_form(5), verify_gap_inequality(6),
                        verify_mode_location(6)):
-            store.append(verification_record(report))
+            store.append(report)
         code, out, err = run_cli(capsys, "scan-counterexamples", "--n", "5..6",
                                  "--cache-dir", str(tmp_path), "--format", "json")
         assert code == 3

@@ -123,6 +123,19 @@ class TestEstimateP:
             estimate_p(3, 2, trials=0, seed=1)
 
 
+class TestSeedRange:
+    """Chunk seeds are taken mod 2**64, so a seed outside [0, 2**64) is refused."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejected_everywhere(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_p(4, 4, trials=10, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_collision(4, trials=10, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            chi_square_vs_exact(3, trials=1000, seed=seed)
+
+
 class TestEstimateCollision:
     def test_degenerate_n1(self):
         rec = estimate_collision(1, trials=100, seed=SEED)

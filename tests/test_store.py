@@ -21,6 +21,8 @@ import pytest
 import helpers
 from permorder import store as store_module
 from permorder.asymptotics import (
+    CLAIM_MODE_LOCATION,
+    VerificationReport,
     verify_gap_inequality,
     verify_mode_location,
     verify_near_max_form,
@@ -28,20 +30,49 @@ from permorder.asymptotics import (
 from permorder.store import (
     KIND,
     SCHEMA_VERSION,
-    ResultRecord,
     ResultStore,
     SchemaVersionError,
     StoreError,
     frac_str,
     jsonify,
-    serialize_record,
-    verification_record,
-    verification_report,
 )
 
-def verdict(n: int, tag: str = "") -> ResultRecord:
-    payload = {"claim": "thm_1_2_mode", "holds": True, "witnesses": [], "tag": tag}
-    return ResultRecord(SCHEMA_VERSION, KIND, n, payload)
+
+def verdict(n: int, tag: str = "") -> VerificationReport:
+    """A valid mode-location report whose details carry ``tag``."""
+    return VerificationReport(n, CLAIM_MODE_LOCATION, True, (), {"expected": n, "tag": tag})
+
+
+def verdict_line(n: int, tag: str = "") -> str:
+    """The log line of ``verdict(n, tag)``, spelled out by hand."""
+    return (
+        f'{{"kind":"verification","n":{n},"payload":{{"claim":"thm_1_2_mode",'
+        f'"details":{{"expected":{n},"tag":"{tag}"}},"holds":true,"witnesses":[]}},'
+        f'"schema_version":1}}'
+    )
+
+
+def raw_line(n: str = "5", kind: str = '"verification"', payload: str | None = None) -> str:
+    """A log line with the given JSON texts in place; the payload is valid by default."""
+    if payload is None:
+        payload = (
+            '{"claim":"thm_1_2_mode","details":{"expected":4},"holds":true,"witnesses":[]}'
+        )
+    return f'{{"kind":{kind},"n":{n},"payload":{payload},"schema_version":1}}'
+
+
+def write_log(root: Path, lines) -> Path:
+    path = root / "verification.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def reappended(tmp_path: Path, reports) -> str:
+    """The log a fresh store holds after appending ``reports`` in order."""
+    store = ResultStore(tmp_path / "again")
+    for report in reports:
+        store.append(report)
+    return (tmp_path / "again" / "verification.jsonl").read_text()
 
 
 class TestFracStrings:
@@ -54,9 +85,11 @@ class TestFracStrings:
     def test_round_trip(self, tmp_path):
         fracs = [Fraction(7, 18), Fraction(0), Fraction(10**50, 3)]
         store = ResultStore(tmp_path)
-        store.append(ResultRecord(SCHEMA_VERSION, KIND, 3, jsonify({"fracs": fracs})))
+        store.append(
+            VerificationReport(3, CLAIM_MODE_LOCATION, True, (), {"expected": 2, "fracs": fracs})
+        )
         (loaded,) = store.load()
-        assert [Fraction(text) for text in loaded.payload["fracs"]] == fracs
+        assert [Fraction(text) for text in loaded.details["fracs"]] == fracs
 
 
 class TestJsonify:
@@ -73,94 +106,116 @@ class TestJsonify:
 
     def test_huge_counts_survive_round_trip(self, tmp_path):
         count = math.factorial(100) - 1
-        rec = ResultRecord(
-            SCHEMA_VERSION, KIND, 100, jsonify({"claim": "c", "count": count})
+        report = VerificationReport(
+            100, CLAIM_MODE_LOCATION, True, (), {"expected": 96, "max_count": count}
         )
         store = ResultStore(tmp_path)
-        store.append(rec)
+        store.append(report)
         (parsed,) = store.load()
-        assert int(parsed.payload["count"]) == count
+        assert int(parsed.details["max_count"]) == count
         line = (tmp_path / "verification.jsonl").read_text()
-        assert line == serialize_record(parsed) + "\n"
+        assert f'"max_count":"{count}"' in line
+        assert reappended(tmp_path, [parsed]) == line
 
 
 class TestRecordShape:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ResultRecord(schema_version=SCHEMA_VERSION, kind="bogus", n=3, payload={})
-
-    @pytest.mark.parametrize("n", [5.0, True, "5"])
-    def test_rejects_non_int_n(self, n):
-        with pytest.raises(TypeError):
-            ResultRecord(schema_version=SCHEMA_VERSION, kind=KIND, n=n, payload={})
-
     def test_serialization_is_canonical(self, tmp_path):
-        rec = ResultRecord(
-            schema_version=SCHEMA_VERSION,
-            kind=KIND,
-            n=5,
-            payload={"b": "2", "a": "1"},
-        )
-        line = serialize_record(rec)
         store = ResultStore(tmp_path)
-        store.append(rec)
-        assert store.load() == [rec]
+        store.append(verdict(5, "t"))
+        line = verdict_line(5, "t")
         assert (tmp_path / "verification.jsonl").read_text() == line + "\n"
-        assert "\n" not in line
-        assert json.loads(line)["kind"] == "verification"
+        assert store.load() == [verdict(5, "t")]
         # keys sorted, no whitespace
-        assert line.index('"a"') < line.index('"b"')
         assert ": " not in line and ", " not in line
 
+    def test_mode_location_line(self, tmp_path):
+        ResultStore(tmp_path).append(verify_mode_location(6))
+        text = (tmp_path / "verification.jsonl").read_text()
+        assert text == helpers.STORED_VERDICT_LINES[1] + "\n"
 
-class TestBuilders:
-    def test_verification_record(self):
-        rec = verification_record(verify_mode_location(6))
-        assert rec.kind == "verification"
-        assert rec.payload["claim"] == "thm_1_2_mode"
-        assert rec.payload["holds"] is False
-        assert rec.payload["witnesses"] == ["6"]
+    def test_rejects_unknown_kind(self, tmp_path):
+        write_log(tmp_path, [raw_line(kind='"bogus"')])
+        with pytest.raises(StoreError, match="unknown record kind 'bogus'"):
+            ResultStore(tmp_path).load()
+
+    @pytest.mark.parametrize("n", ["5.0", "true", '"5"'], ids=["5.0", "True", "5"])
+    def test_rejects_non_int_n(self, tmp_path, n):
+        write_log(tmp_path, [raw_line(n=n)])
+        with pytest.raises(StoreError, match="n must be an int"):
+            ResultStore(tmp_path).load()
+
+    def test_rejects_negative_n(self, tmp_path):
+        write_log(tmp_path, [raw_line(n="-1")])
+        with pytest.raises(StoreError, match="n must be nonnegative"):
+            ResultStore(tmp_path).load()
+
+    @pytest.mark.parametrize("n", [5.0, True, -1])
+    def test_append_rejects_bad_n(self, tmp_path, n):
+        report = VerificationReport(n, CLAIM_MODE_LOCATION, True, (), {"expected": 4})
+        with pytest.raises((TypeError, ValueError)):
+            ResultStore(tmp_path).append(report)
+        assert not (tmp_path / "verification.jsonl").exists()
+
+    def test_payload_is_checked_only_in_range(self, tmp_path):
+        write_log(tmp_path, [raw_line(n="5"), raw_line(n="9", payload="{}")])
+        store = ResultStore(tmp_path)
+        assert [r.n for r in store.load(3, 8)] == [5]
+        with pytest.raises(StoreError, match="malformed cached verdict for n=9"):
+            store.load()
+
+    def test_header_is_checked_out_of_range(self, tmp_path):
+        write_log(tmp_path, [raw_line(n="5"), raw_line(n="9", kind='"kn"')])
+        with pytest.raises(StoreError, match="'kn'"):
+            ResultStore(tmp_path).load(3, 8)
 
 
 class TestVerdictRoundTrip:
-    """`verification_report` is the inverse of `verification_record`."""
+    """A stored verdict loads as the report it was written from."""
 
     def test_stored_lines_reencode_byte_for_byte(self, tmp_path):
         lines = helpers.STORED_VERDICT_LINES
-        (tmp_path / "verification.jsonl").write_text("\n".join(lines) + "\n")
-        records = ResultStore(tmp_path).load()
-        again = [verification_record(verification_report(r)) for r in records]
-        assert [serialize_record(r) for r in again] == list(lines)
+        text = write_log(tmp_path, lines).read_text()
+        reports = ResultStore(tmp_path).load()
+        assert [(r.n, r.claim) for r in reports] == [
+            (5, "thm_1_2_mode"), (6, "thm_1_2_mode"),
+            (12, "thm_1_1_form"), (12, "final_inequality"),
+        ]
+        assert reports[2].witnesses == (6, 8)
+        assert reports[3].details["checks"][1]["lhs"] == "21/1100"
+        assert reappended(tmp_path, reports) == text
 
     @pytest.mark.parametrize(
         "verify", [verify_mode_location, verify_near_max_form, verify_gap_inequality]
     )
-    def test_every_claim_decodes_to_its_report(self, verify):
+    def test_every_claim_decodes_to_its_report(self, tmp_path, verify):
         for n in (5, 6, 12):
             report = verify(n)
-            record = verification_record(report)
-            decoded = verification_report(record)
+            store = ResultStore(tmp_path / str(n))
+            store.append(report)
+            (decoded,) = store.load(n, n)
             assert (decoded.n, decoded.claim, decoded.holds, decoded.witnesses) == (
                 report.n, report.claim, report.holds, report.witnesses
             )
-            assert decoded.details == record.payload["details"]
-            assert verification_record(decoded) == record
+            assert decoded.details == jsonify(report.details)
+            text = (tmp_path / str(n) / "verification.jsonl").read_text()
+            assert reappended(tmp_path / str(n), [decoded]) == text
 
-    @pytest.mark.parametrize("claim", ["thm_99", None, ["thm_1_2_mode"]])
-    def test_unknown_claim_is_store_error(self, claim):
-        payload = {"claim": claim, "holds": True, "witnesses": [], "details": None}
+    @pytest.mark.parametrize(
+        "claim", ['"thm_99"', "null", '["thm_1_2_mode"]'], ids=["thm_99", "None", "claim2"]
+    )
+    def test_unknown_claim_is_store_error(self, tmp_path, claim):
+        payload = f'{{"claim":{claim},"details":null,"holds":true,"witnesses":[]}}'
+        write_log(tmp_path, [raw_line(payload=payload)])
         with pytest.raises(StoreError, match="malformed cached verdict for n=5"):
-            verification_report(ResultRecord(SCHEMA_VERSION, KIND, 5, payload))
+            ResultStore(tmp_path).load()
 
 
 class TestStoreRoundTrip:
     def test_append_then_load(self, tmp_path):
         store = ResultStore(tmp_path)
-        rec = verification_record(verify_mode_location(5))
-        store.append(rec)
-        loaded = store.load(5, 5)
-        assert loaded == [rec]
-        assert serialize_record(loaded[0]) == serialize_record(rec)
+        report = verify_mode_location(5)
+        store.append(report)
+        assert store.load(5, 5) == [report]
 
     def test_load_empty_store(self, tmp_path):
         assert ResultStore(tmp_path).load() == []
@@ -169,17 +224,15 @@ class TestStoreRoundTrip:
         store = ResultStore(tmp_path)
         store.append(verdict(3))
         path = tmp_path / "verification.jsonl"
-        assert path.read_text() == serialize_record(verdict(3)) + "\n"
+        assert path.read_text() == verdict_line(3) + "\n"
         path.write_bytes(b"")
         store.append(verdict(4))
         assert store.load() == [verdict(4)]
 
     def test_loads_stored_lines(self, tmp_path):
-        lines = helpers.STORED_VERDICT_LINES
-        (tmp_path / "verification.jsonl").write_text("\n".join(lines) + "\n")
+        write_log(tmp_path, helpers.STORED_VERDICT_LINES)
         loaded = ResultStore(tmp_path).load()
-        assert [serialize_record(r) for r in loaded] == list(lines)
-        assert loaded[1] == verification_record(verify_mode_location(6))
+        assert loaded[:2] == [verify_mode_location(5), verify_mode_location(6)]
 
     def test_range_filter_and_sort(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -197,15 +250,9 @@ class TestStoreRoundTrip:
             {"kind": "kn", "n": 4, "payload": {}, "schema_version": SCHEMA_VERSION}
         )
         with (tmp_path / "verification.jsonl").open("a") as fh:
-            fh.write(line + "\n" + serialize_record(verdict(5)) + "\n")
+            fh.write(line + "\n" + verdict_line(5) + "\n")
         with pytest.raises(StoreError, match="'kn'"):
             store.load()
-
-    def test_rejects_foreign_schema_on_append(self, tmp_path):
-        store = ResultStore(tmp_path)
-        rec = ResultRecord(SCHEMA_VERSION + 1, KIND, 2, payload={})
-        with pytest.raises(SchemaVersionError):
-            store.append(rec)
 
     def test_rejects_foreign_schema_on_load(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -368,7 +415,7 @@ class TestAppendCost:
         monkeypatch.undo()
 
         assert sum(bytes_read) <= 1
-        added = serialize_record(verdict(3000)).encode() + b"\n"
+        added = verdict_line(3000).encode() + b"\n"
         assert path.read_bytes() == before + added
         assert len(store.load()) == 3001
 
@@ -380,16 +427,17 @@ def start_python(code: str, *args: str) -> subprocess.Popen:
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
-# Appends records n = first..first+count-1 of the store at argv[1].
+# Appends verdict(n, "x" * n), n = first..first+count-1, to the store at argv[1].
 APPENDER = """
 import sys
-from permorder.store import KIND, SCHEMA_VERSION, ResultRecord, ResultStore
+from permorder.asymptotics import CLAIM_MODE_LOCATION, VerificationReport
+from permorder.store import ResultStore
 store = ResultStore(sys.argv[1])
 first, count = int(sys.argv[2]), int(sys.argv[3])
 print("ready", flush=True)
 for n in range(first, first + count):
-    payload = {"claim": "thm_1_2_mode", "holds": True, "witnesses": [], "tag": "x" * n}
-    store.append(ResultRecord(SCHEMA_VERSION, KIND, n, payload))
+    details = {"expected": n, "tag": "x" * n}
+    store.append(VerificationReport(n, CLAIM_MODE_LOCATION, True, (), details))
 """
 
 
@@ -402,8 +450,7 @@ class TestLockedLog:
             _, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
         records = ResultStore(tmp_path).load()
-        assert sorted(r.n for r in records) == [*range(200), *range(1000, 1200)]
-        assert all(r.payload["tag"] == "x" * r.n for r in records)
+        assert records == [verdict(n, "x" * n) for n in [*range(200), *range(1000, 1200)]]
         lines = (tmp_path / "verification.jsonl").read_bytes().split(b"\n")
         assert len(lines) == 401 and lines[-1] == b""
 
@@ -417,8 +464,8 @@ class TestLockedLog:
     def test_append_waits_for_the_lock(self, tmp_path):
         # Another writer holds the lock with its line half written: the
         # append must neither repair that line away nor write before it.
-        head = serialize_record(verdict(1)).encode() + b"\n"
-        half = serialize_record(verdict(2)).encode()
+        head = verdict_line(1).encode() + b"\n"
+        half = verdict_line(2).encode()
         path, fh = self._hold_lock(tmp_path, head + half[:20])
         proc = start_python(APPENDER, str(tmp_path), "3", "1")
         assert proc.stdout.readline() == "ready\n"
@@ -431,8 +478,8 @@ class TestLockedLog:
         assert [r.n for r in ResultStore(tmp_path).load()] == [1, 2, 3]
 
     def test_load_waits_for_the_lock(self, tmp_path):
-        head = serialize_record(verdict(1)).encode() + b"\n"
-        half = serialize_record(verdict(2)).encode()
+        head = verdict_line(1).encode() + b"\n"
+        half = verdict_line(2).encode()
         path, fh = self._hold_lock(tmp_path, head + half[:20])
         proc = start_python(
             "import sys; from permorder.store import ResultStore; "
