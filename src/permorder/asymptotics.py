@@ -107,9 +107,9 @@ def predicted_point_prob(n: int, k: int) -> Fraction:
 def prediction_residual(n: int, k: int) -> Fraction:
     """|P(ord = n-k) - predicted_point_prob(n, k)|, exact.
 
-    Needs only `p_exact`, which counts order n-k alone by the walk over
-    long cycles plus one short-cycle column, so it stays feasible well
-    past the full-pmf budget.
+    Needs only `p_exact`, which counts order n-k alone by one walk over
+    long cycles plus a short-cycle column per Moebius term, so it stays
+    feasible well past the full-pmf budget.
     """
     return abs(p_exact(n, n - k) - predicted_point_prob(n, k))
 

@@ -338,6 +338,9 @@ def _cmd_collision(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]
 
 def _cmd_eta_check(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
     k = args.k
+    if k < 0:
+        # No n has a negative forcing offset: every n would be skipped.
+        raise ValueError(f"need k >= 0, got {k}")
     rows = []
     for n in args.n:
         if k not in compute_forcing_set(n).members:

@@ -9,10 +9,13 @@ Exact-order counts rest on divide-counts: L(d), the permutations whose
 cycle lengths all divide d, from a scaled one-state recurrence
 (`_divide_columns`), with Moebius inversion over divisors turning them
 into counts of order exactly d.  `p_exact` counts order m alone: it sums
-mu(s) L(m/s) over squarefree s | m, and takes each L(d) by a walk over
-d's divisors longer than t = `_small_cycle_limit(n)` that reads the
-shorter cycles from one column per distinct e = gcd(d, lcm(1..t)) (none
-for e = 1).  `_small_cycle_table` runs the recurrence over every divisor
+mu(s) L(m/s) over squarefree s | m.  Cycles up to t =
+`_small_cycle_limit(n)` are read from one column per term, for e =
+gcd(m/s, lcm(1..t)) (none for e = 1); the rest are walked.  m's prime
+powers above t, and those `_plan_split` adds by a work estimate, are
+cancelled in the walk: their primes take no Moebius term, and a walk
+node counts only if its cycles carry every one of them.
+`_small_cycle_table` runs the recurrence over every divisor
 of lcm(1..t), with cycle lengths capped at t, for every label count up
 to n, and inverts whole columns (`DivisorLattice.mobius_steps`).
 `_long_cycle_table` walks the partitions into cycles longer than t once
@@ -62,8 +65,8 @@ from .numtheory import (
 )
 
 DEFAULT_MAX_N = 100
-# p_exact(n, n) took 5.7 s of CPU at n = 5040 and 33 s at n = 10 080, with
-# peak RSS 53 MB and 171 MB, on a 2-vCPU host.  One scaled column holds n + 1
+# p_exact(n, n) took 5.6 s of CPU at n = 5040 and 30 s at n = 10 080, with
+# peak RSS 51 MB and 170 MB, on a 2-vCPU host.  One scaled column holds n + 1
 # ints of about log2(n!) bits, so its memory grows like n^2 log n; at
 # n = 100 000 it would need about 19 GB.
 P_EXACT_MAX_N = 10_000
@@ -247,80 +250,284 @@ def count_order_exactly_mobius(n: int, f: FactoredInt) -> int:
     return total
 
 
-def _signed_divide_counts(
-    n: int, t: int, e: int, terms: list[tuple[int, int]], long_lengths: list[int]
-) -> int:
-    """Sum of sign * L(d) over ``terms``, whose d all have gcd(d, lcm(1..t)) = e.
+# The work estimate that picks `_count_order`'s split, in units of one bit of
+# a bigint addition; b = log2(n!) bits is the size of a scaled row.  A column
+# row costs |J_e| additions and a divmod by nu, plus interpreter steps.  A
+# walk node is walked twice and divides a scaled row by its weight of w
+# bits.  A key takes one addition per Moebius term, and n!/r! for e = 1 costs
+# n small products when its column of falling products is built.  Least
+# squares on relative error, over the `points` orders (n = 201..800, 560
+# columns and 386 walks), gave 0.056 ns per unit, a row 3 b + 3600 units
+# and a node 5 b + b w / 18 + 47 000, on a 2-vCPU host.
+_ROW_DIVISION_WEIGHT = 3
+_ROW_STEP = 3600
+_NODE_WEIGHT = 5
+_NODE_WEIGHT_BITS = 18
+_NODE_STEP = 47_000
+_FALLING_WEIGHT = 3
+_PLAN_MARGIN = 4
+# Past this many distinct label counts r, n!/r! is read from one column of
+# falling products (n multiplications, 0.34 ms at n = 770) rather than from
+# math.perm (up to 25 us a call).
+_FALLING_COLUMN_ROWS = 16
 
-    L(d) counts the permutations of [n] whose cycle lengths all divide d.
-    A cycle of length j <= t divides d exactly when it divides e, so the
-    short cycles of every d here are counted by one scaled column of
-    `_divide_columns` for e, capped at t: a[r] = W(r) * n!/r!, with W(r)
-    the permutations of [r] whose lengths are <= t and divide e.  For
-    e = 1 only fixed points are short, W(r) = 1 and a[r] = n!/r!, so no
-    column is built.  The long cycles are walked as multisets of the
-    lengths j in ``long_lengths`` (ascending, all > t) that divide d, and
-    a node that leaves r labels over, with weight prod(j^c * c!) over its
-    multiplicities, adds a[r] / weight: n!/(weight * r!) ways to lay its
-    cycles out, times W(r).  The column is released when this returns.
+
+class _Split:
+    """How `_count_order` divides order m's prime powers between columns and walk.
+
+    Each prime power q = p^a of m is small, with Moebius terms of its own
+    and short cycles read from columns, or big, cancelled in the walk.
+    Every q above the short-cycle limit t is big.  Bit b of a mask stands
+    for ``small[b]`` and bit len(small) + b for ``big[b]``, each a pair
+    (p, q).  ``terms`` are `_moebius_terms`.  ``parts`` are the walk's
+    cycle lengths, ascending: the divisors of m up to n that are longer
+    than t or divisible by a big q; ``carries[k]`` has the bits of the q
+    dividing ``parts[k]``.  ``need[k][M]`` is the fewest labels that
+    distinct parts from ``parts[k:]`` take to carry every big q in M (big
+    bits shifted down), or n + 1 if they cannot.
     """
-    col = None if e == 1 else next(_divide_columns(n, range(1, t + 1), (e,)))
-    total = 0
-    for sign, d in terms:
-        parts = [j for j in long_lengths if d % j == 0]
-        # (index of the next part to try, labels left, weight) per node.
-        stack = [(0, n, 1)]
+
+    # A plain class: a dataclass here added milliseconds to every import.
+    __slots__ = ("t", "small", "big", "terms", "parts", "carries", "need")
+
+    def __init__(
+        self,
+        n: int,
+        divisors: Sequence[int],
+        t: int,
+        small: tuple[tuple[int, int], ...],
+        big: tuple[tuple[int, int], ...],
+        terms: tuple[tuple[int, int, int], ...],
+    ) -> None:
+        qs = [q for _, q in small + big]
+        parts = tuple(
+            j for j in divisors if j <= n and (j > t or any(j % q == 0 for _, q in big))
+        )
+        carries = tuple(sum(1 << b for b, q in enumerate(qs) if j % q == 0) for j in parts)
+        big_sets = range(1 << len(big))
+        row = tuple(0 if miss == 0 else n + 1 for miss in big_sets)
+        need = [row]
+        for j, carry in zip(reversed(parts), reversed(carries)):
+            left = ~(carry >> len(small))
+            if left != -1:
+                with_j = [j + row[miss & left] for miss in big_sets]
+                row = tuple(a if a <= b else b for a, b in zip(row, with_j))
+            need.append(row)
+        need.reverse()
+        self.t, self.small, self.big, self.terms = t, small, big, terms
+        self.parts, self.carries, self.need = parts, carries, tuple(need)
+
+    def nodes(self, n: int) -> Iterator[tuple[int, int]]:
+        """Yield (key, weight) for each node of the walk that counts.
+
+        The walk runs over the multisets of ``parts`` that fit in n labels.
+        A node leaves r labels over, has weight prod(j^c * c!) over its
+        multiplicities c, and carries the q dividing one of its parts.  It
+        counts when it carries every big q; its key is r << len(small) |
+        the small q it carries.  A node is pushed only if later parts can
+        still carry the big q it misses.
+        """
+        parts, carries, need = self.parts, self.carries, self.need
+        n_small = len(self.small)
+        small_bits = (1 << n_small) - 1
+        big_bits = len(need[0]) - 1
+        # (index of the next part to try, labels left, weight, bits carried).
+        stack = [(0, n, 1, 0)]
         while stack:
-            i, rem, weight = stack.pop()
-            q, r = divmod(math.perm(n, n - rem) if col is None else col[rem], weight)
-            if r:
-                raise RuntimeError(
-                    f"internal inconsistency at n={n}: scaled row {rem} "
-                    f"is not divisible by the cycle weight {weight}"
-                )
-            total += sign * q
+            i, rem, weight, mask = stack.pop()
+            missing = big_bits & ~(mask >> n_small)
+            if not missing:
+                yield rem << n_small | mask & small_bits, weight
             for k in range(i, len(parts)):
                 j = parts[k]
-                if j > rem:
+                if j > rem or need[k][missing] > rem:
                     break
+                mask_j = mask | carries[k]
+                room = rem - need[k + 1][big_bits & ~(mask_j >> n_small)]
                 w = weight
                 c = 0
-                while j * (c + 1) <= rem:
+                while j * (c + 1) <= room:
                     c += 1
                     w *= j * c
-                    stack.append((k + 1, rem - j * c, w))
-    return total
+                    stack.append((k + 1, rem - j * c, w, mask_j))
 
 
-def _count_order(n: int, f: FactoredInt) -> int:
-    """#{pi in S_n : ord(pi) = f.value}, counting order m = f.value alone.
+def _moebius_terms(
+    m: int, t: int, small: Sequence[tuple[int, int]], big: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int, int], ...]:
+    """(s bits, mu(s), e) for each squarefree s over the primes of ``small``.
 
-    E(m) = sum over squarefree s | m of mu(s) * L(m/s), with L(d) the
-    permutations whose cycle lengths all divide d.  Each L(d) is taken
-    by the meet-in-the-middle split of `full_pmf`, with t its small-cycle
-    limit: a walk over d's divisors longer than t (`_signed_divide_counts`)
-    reads the short cycles from one column per distinct e = gcd(d,
-    lcm(1..t)), so the terms are grouped by e and each column is built
-    once.  m must be achievable on [n], so the count is at least 1; less
-    means a broken route, and raises.
+    Bit b of s stands for the prime of small[b].  The column of term s
+    counts the short cycles that divide m/s and carry no big q, that is
+    the lengths <= t dividing e = gcd(d, lcm(1..t)) with d = m / (s * the
+    primes of ``big``).  e = 1, if it occurs, is the last term's.
+    """
+    big_l = lcm_range(t)
+    base = m // math.prod(p for p, _ in big)
+    out = []
+    for bits in range(1 << len(small)):
+        sign = 1
+        d = base
+        for b, (p, _) in enumerate(small):
+            if bits >> b & 1:
+                sign = -sign
+                d //= p
+        out.append((bits, sign, math.gcd(d, big_l)))
+    return tuple(out)
+
+
+def _least_walk_cost(
+    n: int, divisors: Sequence[int], big: Sequence[tuple[int, int]], bits: int
+) -> int:
+    """A lower bound on the estimated work of a walk with these big q.
+
+    Take a nonempty multiset of m's divisors divisible by the smallest big
+    q, 1 + c cycles of the next smallest and one of each other big q: if
+    it fits in n labels it carries every big q, so it is a node that
+    counts.  The multisets of q's multiples are counted by sum / q with
+    coin-change counting, up to a sum of 128 q.  Among them, c cycles of
+    q alone have a weight q^c * c! of at least sum over i <= c of
+    floor(log2(q * i)) bits.
+    """
+    node_cost = _NODE_WEIGHT * bits + _NODE_STEP
+    if not big:
+        return node_cost
+    qs = sorted(q for _, q in big)
+    q = qs[0]
+    step = qs[1] if len(qs) > 1 else n + 1
+    spare = n - sum(qs)
+    room = min(spare // q + 1, 128)
+    ways = [1] + [0] * room
+    for j in divisors:
+        if j % q == 0 and j // q <= room:
+            for s in range(j // q, room + 1):
+                ways[s] += ways[s - j // q]
+    fits = list(itertools.accumulate(ways))
+    nodes = sum(
+        fits[min((spare - c * step) // q + 1, room)] - 1 for c in range(spare // step + 1)
+    )
+    weight_bits = chain_bits = 0
+    for c in range(1, room + 1):
+        weight_bits += (q * c).bit_length() - 1
+        chain_bits += weight_bits
+    return nodes * node_cost + bits * chain_bits // _NODE_WEIGHT_BITS
+
+
+def _plan_split(
+    n: int, f: FactoredInt, divisors: Sequence[int], bits: int
+) -> tuple[_Split, set[int]]:
+    """Pick the split for counting order m = f.value on [n], and its walk's keys.
+
+    t = `_small_cycle_limit(n)` clipped to n.  The candidates keep every
+    prime power <= t small, then move them into the walk one at a time,
+    largest first: each halves the columns and grows the walk.  The work
+    estimate, in integers only, charges each column n rows of |J_e|
+    additions and a division of ``bits`` = log2(n!) bits, with J_e the
+    lengths <= t dividing e, and each node and key of the walk a weight.
+    The walk is counted, without its divisions, only while the candidate
+    can still win.  The search stops at the first candidate whose estimate
+    does not fall.
     """
     m = f.value
     t = min(_small_cycle_limit(n), n)
-    big_l = lcm_range(t)
-    long_lengths = [j for j in DivisorLattice(f).divisors if t < j <= n]
-    primes = [p for p, _ in f.factors]
-    by_e: dict[int, list[tuple[int, int]]] = {}
-    for bits in range(1 << len(primes)):
-        sign = 1
-        d = m
-        for i, p in enumerate(primes):
-            if bits >> i & 1:
-                sign = -sign
-                d //= p
-        by_e.setdefault(math.gcd(d, big_l), []).append((sign, d))
-    count = sum(
-        _signed_divide_counts(n, t, e, terms, long_lengths) for e, terms in by_e.items()
-    )
+    short = [j for j in divisors if j <= t]
+    pqs = sorted(((p, p**a) for p, a in f.factors), key=operator.itemgetter(1))
+    node_cost = _NODE_WEIGHT * bits + _NODE_STEP
+    best = best_cost = best_keys = None
+    for n_small in range(sum(q <= t for _, q in pqs), -1, -1):
+        small, big = tuple(pqs[:n_small]), tuple(pqs[n_small:])
+        terms = _moebius_terms(m, t, small, big)
+        cost = sum(
+            n * ((sum(e % j == 0 for j in short) + _ROW_DIVISION_WEIGHT) * bits + _ROW_STEP)
+            for _, _, e in terms
+            if e != 1
+        )
+        # Walking a candidate to count its nodes takes time of its own, so
+        # it is walked only if its least walk leaves a quarter to save.
+        if best is not None and cost + _least_walk_cost(
+            n, divisors, big, bits
+        ) >= best_cost - best_cost // _PLAN_MARGIN:
+            break
+        split = _Split(n, divisors, t, small, big, terms)
+        keys = set()
+        rows = set()
+        for key, weight in split.nodes(n):
+            cost += node_cost + bits * weight.bit_length() // _NODE_WEIGHT_BITS
+            if key not in keys:
+                keys.add(key)
+                cost += len(terms) * bits
+                r = key >> n_small
+                if r not in rows:
+                    rows.add(r)
+                    if len(rows) == _FALLING_COLUMN_ROWS + 1 and terms[-1][2] == 1:
+                        cost += _FALLING_WEIGHT * n * bits
+            if best is not None and cost >= best_cost:
+                break
+        else:
+            best, best_cost, best_keys = split, cost, keys
+            continue
+        break
+    return best, best_keys
+
+
+def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
+    """#{pi in S_n : ord(pi) = f.value}, counting order m = f.value alone.
+
+    f_n = n!, which the caller holds already.  E(m) = sum over squarefree s | m of mu(s) * L(m/s), with L(d) the
+    permutations whose cycle lengths all divide d.  The cycles split at t
+    = `_small_cycle_limit(n)`: short ones (<= t) are read from a scaled
+    column of `_divide_columns`, a_e[r] = W_e(r) * n!/r! with W_e(r) the
+    permutations of [r] whose lengths are <= t and divide e, and the rest
+    are walked.  For e = 1 only fixed points are short and a_e[r] = n!/r!,
+    with no recurrence.  A walk node that leaves r labels over, with
+    weight prod(j^c * c!), holds n!/(weight * r!) layouts of its cycles,
+    times W_e(r): that is a_e[r] / weight.
+
+    A prime power q = p^a of m that no short cycle reaches (q > t) gives
+    the terms of s and s * p the same column, so they cancel on every
+    node whose cycles do not carry q (have no length divisible by q).  The
+    same holds for a q <= t once the walk takes every cycle that carries
+    it.  `_plan_split` picks these big q: s runs over the primes of the
+    small q alone, and a node counts only when its cycles carry every big
+    q.  A node whose cycles carry the small q in C counts for every s
+    disjoint from C, so the columns are summed, one at a time, into
+    sum over s disjoint from C of mu(s) a_{e(s)}[r] at each key (r, C) of
+    the walk, and each node divides its key's sum by its weight.  A
+    remainder raises, and so does a count below 1, since m must be
+    achievable.
+    """
+    m = f.value
+    divisors = DivisorLattice(f).divisors
+    split, keys = _plan_split(n, f, divisors, f_n.bit_length())
+    n_small = len(split.small)
+    rows = {key >> n_small for key in keys}
+    if split.terms[-1][2] != 1:
+        falling = None
+    elif len(rows) > _FALLING_COLUMN_ROWS:
+        falling = [0] * (n + 1)
+        falling[n] = 1
+        for r in range(n - 1, min(rows) - 1, -1):
+            falling[r] = falling[r + 1] * (r + 1)
+    else:
+        falling = {r: math.perm(n, n - r) for r in rows}
+    short = [j for j in divisors if j <= split.t]
+    signed = dict.fromkeys(keys, 0)
+    for bits, sign, e in split.terms:
+        # One generator per column, so that no column outlives its term.
+        col = falling if e == 1 else next(_divide_columns(n, short, (e,)))
+        for key in signed:
+            if not key & bits:
+                signed[key] += sign * col[key >> n_small]
+        col = None
+    count = 0
+    for key, weight in split.nodes(n):
+        q, rem = divmod(signed[key], weight)
+        if rem:
+            raise RuntimeError(
+                f"internal inconsistency at n={n}: scaled row {key >> n_small} "
+                f"is not divisible by the cycle weight {weight}"
+            )
+        count += q
     if count < 1:
         raise RuntimeError(
             f"internal inconsistency at n={n}: count {count} for achievable order {m}"
@@ -332,10 +539,11 @@ def p_exact(n: int, m: int) -> Fraction:
     """P(ord = m) for a uniform random permutation of [n], exactly.
 
     Only order m is counted (`_count_order`): the sum of mu(s) L(m/s) over
-    squarefree s | m, with one scaled column of n + 1 ints per distinct
-    e = gcd(m/s, lcm(1..t)), each released before the next is built.  An
-    n above P_EXACT_MAX_N raises `BudgetExceededError` before any work is
-    done.
+    squarefree s | m, split between one walk over long cycles, which
+    cancels the terms of m's big prime powers, and one scaled column of
+    n + 1 ints per remaining term, each released before the next is
+    built.  An n above P_EXACT_MAX_N raises `BudgetExceededError` before
+    any work is done.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -364,7 +572,8 @@ def p_exact(n: int, m: int) -> Fraction:
         factors.append((rem, 1))  # a prime: no prime below sqrt(rem) divides it
     if sum(p**e for p, e in factors) > n:
         return Fraction(0)
-    return Fraction(_count_order(n, FactoredInt(m, tuple(factors))), math.factorial(n))
+    f_n = math.factorial(n)
+    return Fraction(_count_order(n, FactoredInt(m, tuple(factors)), f_n), f_n)
 
 
 # One entry holds up to max_support ints (18 663 at n = 100, about 0.7 MB),

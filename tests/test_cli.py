@@ -302,6 +302,11 @@ class TestEtaCheck:
         assert [r["n"] for r in rows] == [3, 4, 5]
         assert rows[0]["predicted"] == "1/3"
 
+    def test_negative_k_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "eta-check", "--n", "3..5", "--k", "-1")
+        assert (code, out) == (2, "")
+        assert err == "usage error: need k >= 0, got -1\n"
+
     def test_past_point_budget_exits_1(self, capsys):
         # One scaled column at n = 100 000 would hold about 19 GB.
         code, out, err = run_cli(capsys, "eta-check", "--n", "100000")

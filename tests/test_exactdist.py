@@ -282,22 +282,63 @@ class TestOrderOnlyRoute:
             exactdist, "_divide_columns",
             lambda n, lengths, columns: real(n, lengths, built.extend(columns) or columns),
         )
-        # 59 is a prime above t = 10: d = 59 and d = 1 both have e = 1.
+        # 59 is a prime above t = 10, so big: one term, e = 1, no column.
         assert p_exact(60, 59) == Fraction(1, 59)
         assert built == []
-        # 120 = 2^3 * 3 * 5 at t = 20: every d = 120/s has e = d, so 2^3
-        # columns, not the 16 divisors of 120.
+        # 120 = 2^3 * 3 * 5 at t = 20: all three small, and every d = 120/s
+        # has e = d, so 2^3 columns, not the 16 divisors of 120.
         p_exact(120, 120)
         assert sorted(built) == [4, 8, 12, 20, 24, 40, 60, 120]
-        # 64 at t = 10: d = 64 and d = 32 share e = 8, one column.
+        # 64 at t = 10 is big: one term, d = 64/2, e = gcd(32, lcm(1..10)).
         built.clear()
         p_exact(64, 64)
         assert built == [8]
-        # 44 = 4 * 11 at t = 10: 11 > t, so d = 44 and d = 4 share e = 4,
-        # and d = 22 and d = 2 share e = 2.
+        # 44 = 4 * 11 at t = 10: 11 is big and 4 small, d = 4 and d = 2.
         built.clear()
         p_exact(60, 44)
         assert sorted(built) == [2, 4]
+        # 650 = 2 * 5^2 * 13 at t = 108: the walk takes 25 as well, so the
+        # terms run over 2 and 13 with d | 650/5: four columns, not eight.
+        built.clear()
+        p_exact(651, 650)
+        assert sorted(built) == [5, 10, 65, 130]
+        # g(120) = 2^4 * 3^2 * 5 * 7 * ... * 23: the walk takes every prime
+        # power, and the one term's short cycles divide 2^3 * 3 = 24.
+        built.clear()
+        p_exact(120, landau_g(120))
+        assert built == [24]
+
+    @given(st.integers(min_value=100, max_value=900), st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_forcing_and_walked_prime_powers(self, n, data):
+        # Forcing orders, and orders with two or three prime powers in
+        # [n/20, n/6] (the ones the split may move into the walk), times
+        # at most one smaller coprime prime power.
+        k = data.draw(st.sampled_from(compute_forcing_set(n).members))
+        assert p_exact(n, n - k) == _mobius_p(n, n - k)
+        mid = [q for q in range(-(-n // 20), n // 6 + 1) if len(factorize(q).factors) == 1]
+        qs = data.draw(
+            st.lists(st.sampled_from(mid), min_size=2, max_size=3,
+                     unique_by=lambda q: factorize(q).factors[0][0])
+        )
+        m = math.prod(qs)
+        extra = data.draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9]))
+        if math.gcd(extra, m) == 1:
+            m *= extra
+        assert p_exact(n, m) == _mobius_p(n, m)
+
+    @pytest.mark.parametrize(
+        "n, m", [(324, 323), (725, 724), (771, 770), (120, landau_g(120))]
+    )
+    def test_named_orders(self, n, m):
+        assert p_exact(n, m) == _mobius_p(n, m)
+
+    @pytest.mark.parametrize("n, m", [(324, 323), (201, 201), (60, 59)])
+    def test_falling_column_matches_perm(self, monkeypatch, n, m):
+        # n!/r! for e = 1 comes from math.perm for a few rows and from one
+        # column of falling products for many; both must give the count.
+        monkeypatch.setattr(exactdist, "_FALLING_COLUMN_ROWS", 0)
+        assert p_exact(n, m) == _mobius_p(n, m)
 
     def test_budget_fires_before_any_work(self, monkeypatch):
         started = []
