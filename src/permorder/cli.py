@@ -4,8 +4,10 @@ Every subcommand computes rows of results and emits them on stdout in
 one of three formats: an aligned human table (rationals get a companion
 6-significant-digit decimal), CSV, or a single JSON document.  The CSV
 and JSON outputs carry identical numeric content, with exact rationals
-rendered as ``p/q`` strings so values round-trip losslessly.  Progress
-and diagnostics go to stderr.
+rendered as ``p/q`` strings so values round-trip losslessly.  The JSON
+document is written by `store.to_json` in one pass over the rows; an
+integer outside +-(2**53 - 1) is written there as a decimal string.
+Progress and diagnostics go to stderr.
 
 Each subparser carries its handler, which reads the argparse namespace
 directly.  Between parsing and the handler, ``main`` makes the checks
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import random
@@ -62,7 +63,7 @@ from .exactdist import (
 )
 from .numtheory import DivisorLattice, compute_forcing_set, factorize, landau_table
 from .sampler import _pooled, estimate_collision, estimate_p
-from .store import ResultStore, StoreError, frac_str, jsonify
+from .store import ResultStore, StoreError, frac_str, to_json
 
 __all__ = ["main", "parse_range"]
 
@@ -211,8 +212,7 @@ def _table_cell(value: Any) -> str:
 def _emit(args: argparse.Namespace, rows: list[dict[str, Any]]) -> None:
     out = sys.stdout
     if args.fmt == "json":
-        doc = jsonify({"command": args.subcommand, "rows": rows})
-        print(json.dumps(doc, separators=(",", ":")), file=out)
+        print(to_json({"command": args.subcommand, "rows": rows}), file=out)
         return
     if not rows:
         return

@@ -147,9 +147,9 @@ def count_lengths_divide(n: int, f: FactoredInt) -> int:
 
 
 def _divide_columns(
-    n: int, lengths: Sequence[int], columns: Iterable[int]
+    n: int, lengths: Sequence[int], columns: Iterable[int], last: int
 ) -> Iterator[list[int]]:
-    """Yield, for each c in ``columns``, the scaled column a[0..n] for c.
+    """Yield, for each c in ``columns``, the scaled column a[0..last] for c.
 
     w[nu] counts the permutations of [nu] whose cycle lengths all lie in
     ``lengths`` (ascending) and divide c.  This is the cycle peeling of
@@ -159,15 +159,16 @@ def _divide_columns(
         nu * a[nu] = sum over allowed j <= nu of a[nu-j]:
 
     one addition per cell and one division by nu per row, and a[n] = w[n].
-    The division is exact because a[nu] is an integer for nu <= n; a
-    remainder means a broken recurrence, and raises.  A caller that holds
-    no column while asking for the next keeps one column alive at a time.
+    Rows past ``last`` <= n are not built.  The division is exact because
+    a[nu] is an integer for nu <= n; a remainder means a broken
+    recurrence, and raises.  A caller that holds no column while asking
+    for the next keeps one column alive at a time.
     """
     f_n = math.factorial(n)
     for c in columns:
         js = [j for j in lengths if c % j == 0]
-        a = [f_n] + [0] * n
-        for nu in range(1, n + 1):
+        a = [f_n] + [0] * last
+        for nu in range(1, last + 1):
             s = 0
             for j in js:
                 if j > nu:
@@ -192,7 +193,7 @@ def _divide_counts(n: int, divisors: Sequence[int]) -> list[int]:
     lengths = [j for j in divisors if j <= n]
     # map lets go of each column before the next is built; the loop variable
     # of a comprehension would keep a second column of about n! sized ints.
-    return list(map(operator.itemgetter(n), _divide_columns(n, lengths, divisors)))
+    return list(map(operator.itemgetter(n), _divide_columns(n, lengths, divisors, n)))
 
 
 def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
@@ -511,10 +512,11 @@ def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
     else:
         falling = {r: math.perm(n, n - r) for r in rows}
     short = [j for j in divisors if j <= split.t]
+    last = max(rows)
     signed = dict.fromkeys(keys, 0)
     for bits, sign, e in split.terms:
         # One generator per column, so that no column outlives its term.
-        col = falling if e == 1 else next(_divide_columns(n, short, (e,)))
+        col = falling if e == 1 else next(_divide_columns(n, short, (e,), last))
         for key in signed:
             if not key & bits:
                 signed[key] += sign * col[key >> n_small]
@@ -643,7 +645,7 @@ def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
     scales = [f_n // math.factorial(r) for r in range(n + 1)]
     cols: list[list] = [
         [a // s for a, s in zip(col, scales)]
-        for col in _divide_columns(n, range(1, t + 1), divisors)
+        for col in _divide_columns(n, range(1, t + 1), divisors, n)
     ]
     for i, k in lattice.mobius_steps():
         cols[i] = [a - b for a, b in zip(cols[i], cols[k])]

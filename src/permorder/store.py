@@ -13,6 +13,11 @@ This module alone knows the verdict payload: `_verdict_line` writes a
 report as one line and `_verdict_report` reads it back, rejecting with
 ``StoreError`` anything the writer could not have produced.
 
+`to_json` is the package's one JSON encoder.  It writes the verdict
+lines and the checkpoint with sorted keys, and the CLI's JSON documents
+in row order.  It walks the value once and writes the text directly,
+with no converted copy of the value in between.
+
 Crash tolerance is deliberately minimal: a write interrupted mid-line
 leaves a torn final record, which ``load`` repairs by truncating the file
 back to the last complete record and logging a warning.  ``append`` reads
@@ -35,9 +40,11 @@ import contextlib
 import functools
 import json
 import logging
+import math
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -55,7 +62,7 @@ __all__ = [
     "SchemaVersionError",
     "StoreError",
     "frac_str",
-    "jsonify",
+    "to_json",
 ]
 
 logger = logging.getLogger(__name__)
@@ -65,6 +72,10 @@ SCHEMA_VERSION = 1
 KIND = "verification"
 
 _CHECKPOINT_NAME = "checkpoint.json"
+
+# The largest integer below which a double holds every integer; JSON
+# readers that parse numbers as doubles read larger ones inexactly.
+_JSON_INT_MAX = 2**53 - 1
 
 
 class StoreError(ValueError):
@@ -80,31 +91,85 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def jsonify(value: Any) -> Any:
-    """Map result values onto JSON-safe ones, for the store and the CLI.
+def to_json(value: Any, *, sort_keys: bool = False) -> str:
+    """The compact JSON text of a result value, in one walk over it.
 
-    Fractions become ``p/q`` strings; integers outside the exact-double
-    range become decimal strings; dicts, lists and tuples convert
-    recursively.  Concrete container types, not the ``Mapping`` and
-    ``Sequence`` ABCs, keep large CLI documents cheap to encode.
+    Fractions are written as ``"p/q"`` strings and integers outside
+    +-(2**53 - 1) as decimal strings, so that every value survives a
+    round trip exactly; dict keys are ``str()``-ed; dicts, lists and
+    tuples are written recursively, and any other type raises
+    ``TypeError``.  Strings are escaped to ASCII.  The text is byte for
+    byte what ``json.dumps`` with ``separators=(",", ":")`` and the given
+    ``sort_keys`` writes for the value with those conversions made.  The
+    exact types of result rows take the first branches; other values,
+    subclasses among them, follow the same rules through ``isinstance``.
+    Each distinct key is quoted once per call.
     """
+    keys: dict[str, str] = {}
 
     # The recursion stays inside one call, so bench/tracing.py, which wraps
     # module-level functions, records one span per document, not per value.
-    def convert(value: Any) -> Any:
-        if isinstance(value, (str, float, bool)) or value is None:
-            return value
-        if isinstance(value, int):
-            return value if -(2**53) < value < 2**53 else str(value)
-        if isinstance(value, Fraction):
-            return frac_str(value)
-        if isinstance(value, dict):
-            return {str(k): convert(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [convert(v) for v in value]
-        raise TypeError(f"cannot store value of type {type(value).__name__}")
+    def members(pairs: Any, str_ed: bool) -> str | None:
+        out = []
+        for k, x in pairs:
+            if type(k) is str:
+                kq = keys.get(k)
+                if kq is None:
+                    kq = keys[k] = _quote(k) + ":"
+            elif str_ed:  # a str subclass that str() returned
+                kq = _quote(k) + ":"
+            else:
+                return None
+            out.append(kq + encode(x))
+        return "{" + ",".join(out) + "}"
 
-    return convert(value)
+    def mapping(d: dict) -> str:
+        if not sort_keys:
+            text = members(d.items(), False)
+            if text is not None:
+                return text
+        # Keys are str()-ed first; a key whose str() repeats an earlier
+        # key's replaces that key's value in the earlier place.
+        pairs = {str(k): x for k, x in d.items()}.items()
+        return members(sorted(pairs) if sort_keys else pairs, True)
+
+    def encode(v: Any) -> str:
+        t = type(v)
+        if t is str:
+            return _quote(v)
+        if t is int:
+            return str(v) if -_JSON_INT_MAX <= v <= _JSON_INT_MAX else '"%d"' % v
+        if t is Fraction:
+            return '"%d/%d"' % (v.numerator, v.denominator)
+        if t is dict:
+            return mapping(v)
+        if t is list or t is tuple:
+            return "[" + ",".join([encode(x) for x in v]) + "]"
+        if isinstance(v, str):
+            return _quote(v)
+        if isinstance(v, float):
+            # json.dumps writes the shortest repr, or the names JavaScript
+            # gives the values that have no number literal.
+            if v != v:
+                return "NaN"
+            if math.isinf(v):
+                return "Infinity" if v > 0 else "-Infinity"
+            return float.__repr__(v)
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if v is None:
+            return "null"
+        if isinstance(v, int):
+            return int.__repr__(v) if -_JSON_INT_MAX <= v <= _JSON_INT_MAX else _quote(str(v))
+        if isinstance(v, Fraction):
+            return _quote(frac_str(v))
+        if isinstance(v, dict):
+            return mapping(v)
+        if isinstance(v, (list, tuple)):
+            return "[" + ",".join([encode(x) for x in v]) + "]"
+        raise TypeError(f"cannot store value of type {t.__name__}")
+
+    return encode(value)
 
 
 def _check_n(n: Any) -> None:
@@ -121,7 +186,7 @@ def _verdict_line(report: VerificationReport) -> str:
         "claim": report.claim,
         "holds": report.holds,
         "witnesses": [str(w) for w in report.witnesses],
-        "details": jsonify(report.details),
+        "details": report.details,
     }
     obj = {
         "schema_version": SCHEMA_VERSION,
@@ -129,7 +194,7 @@ def _verdict_line(report: VerificationReport) -> str:
         "n": report.n,
         "payload": payload,
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return to_json(obj, sort_keys=True)
 
 
 def _verdict_report(n: int, payload: Any) -> VerificationReport:
@@ -305,8 +370,7 @@ class ResultStore:
     @_os_errors_as_store_errors
     def checkpoint(self, state: Mapping[str, Any]) -> None:
         """Atomically persist scan state (write temp file, then rename)."""
-        obj = {"schema_version": SCHEMA_VERSION, "state": jsonify(state)}
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        text = to_json({"schema_version": SCHEMA_VERSION, "state": state}, sort_keys=True)
         fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

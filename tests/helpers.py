@@ -8,6 +8,7 @@ enumeration, definition-level recomputation, textbook recurrences.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -241,3 +242,27 @@ def lattice_counts_by_falling_factorials(n: int, m: int) -> dict[int, int]:
                 row[key] = row.get(key, 0) + ff * b
         rows.append(row)
     return {d: c for d, c in rows[n].items() if c}
+
+
+def json_by_conversion(value, sort_keys: bool = False) -> str:
+    """Result values as JSON text in two steps: convert a copy, then json.dumps.
+
+    The copy has Fractions as "p/q" strings, integers outside the
+    exact-double range as decimal strings, str()-ed dict keys and lists
+    for tuples; anything else raises TypeError.
+    """
+
+    def convert(value):
+        if isinstance(value, (str, float, bool)) or value is None:
+            return value
+        if isinstance(value, int):
+            return value if -(2**53) < value < 2**53 else str(value)
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        if isinstance(value, dict):
+            return {str(k): convert(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [convert(v) for v in value]
+        raise TypeError(f"cannot store value of type {type(value).__name__}")
+
+    return json.dumps(convert(value), sort_keys=sort_keys, separators=(",", ":"))

@@ -37,6 +37,19 @@ from permorder.store import ResultStore
 # store: it holds multi-witness rows and counts past 2**53.
 SCAN_2_30_LOG_SHA256 = "754ab9be7be4512179d578848f5529c50c0e13d31ef49b37017241c431055ab2"
 
+# sha256 of the stdout of documents larger than the golden cases, frozen
+# from the encoder that converted a copy of the rows and ran json.dumps.
+# In the landau one, 35 of the 51 values of g(n) pass 2**53 and are
+# written as decimal strings.
+LARGE_OUTPUT_SHA256 = {
+    "pmf --n 40 --format json":
+        "96508ca197de19bc070d5ef2a5d13b7eb430e7a54cb6f0a69bf62991172c8a94",
+    "pmf --n 40 --format csv":
+        "0abb922631239ddc93ad2ae69a4532e4f22033231ab22c858bc739420aa15dd4",
+    "landau --n 250..300 --format json":
+        "48a4b42df8b4d444fbf52fde28b440232180c95c463dee7c1f865d4c5b32a13b",
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -199,6 +212,13 @@ class TestLandau:
         assert err.startswith("resource limit exceeded:")
         assert out == ""
         assert started == []
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_OUTPUT_SHA256))
+def test_large_output_bytes_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE_OUTPUT_SHA256[argv]
 
 
 class TestPmf:

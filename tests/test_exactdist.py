@@ -280,7 +280,9 @@ class TestOrderOnlyRoute:
         real = exactdist._divide_columns
         monkeypatch.setattr(
             exactdist, "_divide_columns",
-            lambda n, lengths, columns: real(n, lengths, built.extend(columns) or columns),
+            lambda n, lengths, columns, last: real(
+                n, lengths, built.extend(columns) or columns, last
+            ),
         )
         # 59 is a prime above t = 10, so big: one term, e = 1, no column.
         assert p_exact(60, 59) == Fraction(1, 59)
@@ -307,6 +309,26 @@ class TestOrderOnlyRoute:
         built.clear()
         p_exact(120, landau_g(120))
         assert built == [24]
+
+    def test_columns_stop_at_the_last_key_row(self, monkeypatch):
+        built = []
+        real = exactdist._divide_columns
+
+        def spy(n, lengths, columns, last):
+            for col in real(n, lengths, columns, last):
+                built.append((last, len(col)))
+                yield col
+
+        monkeypatch.setattr(exactdist, "_divide_columns", spy)
+        # g(120): the walk takes all 120 labels, so its one column is read
+        # at row 0 alone.
+        assert p_exact(120, landau_g(120)) == _mobius_p(120, landau_g(120))
+        assert built == [(0, 1)]
+        # 724 = 4 * 181 on 725 labels: a node that counts holds a cycle of
+        # 181 or 362 or 724 labels, so no key row passes 725 - 181 = 544.
+        built.clear()
+        assert p_exact(725, 724) == _mobius_p(725, 724)
+        assert built and all(last <= 544 and size == last + 1 for last, size in built)
 
     @given(st.integers(min_value=100, max_value=900), st.data())
     @settings(max_examples=8, deadline=None)
@@ -475,7 +497,7 @@ class TestSmallCycleKernel:
         real = exactdist._divide_columns
         monkeypatch.setattr(
             exactdist, "_divide_columns",
-            lambda n, lengths, columns: list(real(n, lengths, columns))[::-1],
+            lambda n, lengths, columns, last: list(real(n, lengths, columns, last))[::-1],
         )
         with pytest.raises(RuntimeError, match="negative count"):
             exactdist._small_cycle_table(6, 4)

@@ -7,6 +7,7 @@ surgery on a temporary store directory.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -17,6 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from permorder import store as store_module
@@ -34,7 +37,26 @@ from permorder.store import (
     SchemaVersionError,
     StoreError,
     frac_str,
-    jsonify,
+    to_json,
+)
+
+
+_json_scalars = (
+    st.integers()
+    | st.integers(min_value=-(2**53) - 2, max_value=-(2**53) + 2)
+    | st.integers(min_value=2**53 - 2, max_value=2**53 + 2)
+    | st.fractions()
+    | st.text()
+    | st.floats()
+    | st.booleans()
+    | st.none()
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3) | st.integers(-20, 20), inner, max_size=4),
+    max_leaves=20,
 )
 
 
@@ -92,17 +114,75 @@ class TestFracStrings:
         assert [Fraction(text) for text in loaded.details["fracs"]] == fracs
 
 
-class TestJsonify:
+class TestToJson:
     def test_64bit_values_become_decimal_strings(self):
-        assert jsonify(2**63 + 11) == str(2**63 + 11)
-        assert jsonify(-(2**53)) == str(-(2**53))
-        assert jsonify(2**53 - 1) == 2**53 - 1
-        assert jsonify(True) is True
-        assert jsonify(None) is None
-        assert jsonify(0.5) == 0.5
-        assert jsonify({3: (Fraction(1, 3), [2**64])}) == {"3": ["1/3", [str(2**64)]]}
+        assert to_json(2**63 + 11) == f'"{2**63 + 11}"'
+        assert to_json(-(2**53)) == f'"{-(2**53)}"'
+        assert to_json(2**53 - 1) == str(2**53 - 1)
+        assert to_json(True) == "true"
+        assert to_json(None) == "null"
+        assert to_json(0.5) == "0.5"
+        assert to_json({3: (Fraction(1, 3), [2**64])}) == f'{{"3":["1/3",["{2**64}"]]}}'
         with pytest.raises(TypeError):
-            jsonify(object())
+            to_json(object())
+
+    @given(value=_json_values)
+    @example(value=[2**53 - 2, 2**53 - 1, 2**53, 2**53 + 1, -(2**53 - 1), -(2**53), -(2**53) - 1])
+    @example(value=[Fraction(0), Fraction(-7, 3), Fraction(-(2**70), 3)])
+    @example(value=["", "caf\u00e9 \u2203 \U0001d11e", "\x00\x1f\x7f\n\t\"\\/"])
+    @example(value=[-0.0, 0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf])
+    @example(value=[True, False, None, (1, (2, (3, ())), [])])
+    @example(value={10: "a", 9: ("b",), -1: {2: None}, "x": 2**64})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_conversion_then_json_dumps(self, value):
+        for sort_keys in (False, True):
+            assert to_json(value, sort_keys=sort_keys) == helpers.json_by_conversion(
+                value, sort_keys
+            )
+
+    def test_subclasses_follow_the_same_rules(self):
+        class Str(str):
+            def __str__(self):
+                return "other"
+
+        class Int(int):
+            def __repr__(self):
+                return "other"
+
+            __str__ = __repr__
+
+        class Float(float):
+            def __repr__(self):
+                return "other"
+
+        class Frac(Fraction):
+            pass
+
+        class Key:
+            def __str__(self):
+                return Str("k")
+
+        Pair = collections.namedtuple("Pair", "a b")
+        values = [
+            Str("s\u00e9"),
+            Int(5),
+            Int(2**60),
+            Float(0.25),
+            Float("nan"),
+            Frac(-3, 4),
+            Pair(1, Fraction(1, 2)),
+            collections.OrderedDict([("b", 1), ("a", [Str("x")])]),
+            collections.defaultdict(list, {Str("c"): 1, 2: 2}),
+            {1: "int", "1": "str", True: "bool", 1.5: "float", None: "none"},
+            {Key(): 1, Str("j"): 2},
+        ]
+        for sort_keys in (False, True):
+            assert to_json(values, sort_keys=sort_keys) == helpers.json_by_conversion(
+                values, sort_keys
+            )
+        for bad in (object(), {1, 2}, b"bytes", [1, [complex(1, 2)]], {"k": range(3)}):
+            with pytest.raises(TypeError):
+                to_json(bad)
 
     def test_huge_counts_survive_round_trip(self, tmp_path):
         count = math.factorial(100) - 1
@@ -196,7 +276,7 @@ class TestVerdictRoundTrip:
             assert (decoded.n, decoded.claim, decoded.holds, decoded.witnesses) == (
                 report.n, report.claim, report.holds, report.witnesses
             )
-            assert decoded.details == jsonify(report.details)
+            assert decoded.details == json.loads(to_json(report.details))
             text = (tmp_path / str(n) / "verification.jsonl").read_text()
             assert reappended(tmp_path / str(n), [decoded]) == text
 
