@@ -15,20 +15,21 @@ gcd(m/s, lcm(1..t)) (none for e = 1); the rest are walked.  m's prime
 powers above t, and those `_plan_split` adds by a work estimate, are
 cancelled in the walk: their primes take no Moebius term, and a walk
 node counts only if its cycles carry every one of them.
-`_small_cycle_table` runs the recurrence over every divisor
-of lcm(1..t), with cycle lengths capped at t, for every label count up
-to n, and inverts whole columns (`DivisorLattice.mobius_steps`).
-`_long_cycle_table` walks the partitions into cycles longer than t once
-and sums, for each label count s, the permutations of [s] by (g, h) with
-g = gcd(order, lcm(1..t)) and h = order // g.  The full pmf (`full_pmf`)
-merges the two: every order in the small table divides L = lcm(1..t), so
-lcm(g * h, l) = h * lcm(g, l), and for each s small-table row n - s is
-collapsed once per g and spread over the h's, weighted by C(n, s).  The
-rows of both tables do not depend on n, so the last pair built is kept in
-a one-entry slot and serves every n with the same t that it has rows
-for.  `mode` is read off that exact pmf.  `order_counts_on_lattice`
-gives the counts of every divisor of m at once; no code in this package
-calls it, and it stays as a reference for the tests.
+The full pmf splits the cycle lengths by whether they divide
+L = lcm(1..t).  `_small_cycle_table` runs the recurrence over every
+divisor of L, with the divisors of L as cycle lengths, for every label
+count up to n, and inverts whole columns (`DivisorLattice.mobius_steps`).  `_long_cycle_table` walks the
+partitions into the other lengths once and sums, for each label count
+s, the permutations of [s] by (g, h) with g = gcd(order, L) and
+h = order // g.  The full pmf (`full_pmf`) merges the two: every order
+l in the small table divides L, so lcm(g * h, l) = h * lcm(g, l), and
+for each s small-table row n - s is collapsed once per g and spread
+over the h's, weighted by C(n, s).  The rows of both tables do not
+depend on n, so the last pair built is kept in a one-entry slot and
+serves every n with the same t that it has rows for.  `mode` is read off
+that exact pmf.  `order_counts_on_lattice` gives the counts of every
+divisor of m at once; no code in this package calls it, and it stays as
+a reference for the tests.
 `count_order_exactly_mobius` runs inclusion-exclusion over prime-exponent
 drops on the falling-factorial recursion of `count_lengths_divide`, and
 `count_restricted_cycles` runs that recursion with a cycle-count index.
@@ -620,20 +621,26 @@ def support(n: int) -> list[int]:
 
 
 def _small_cycle_limit(n: int) -> int:
-    # Timed over n = 2..100, the scan below runs fastest with t near n/6:
-    # a larger t widens the table rows (lcm(1..t) gains divisors), a
-    # smaller one leaves more partitions to walk.  Under n = 24 every t
-    # takes well below a millisecond.
+    # Timed as full_pmf(2..100) in one process with the cycles split by
+    # lcm(1..t), the scan below runs fastest with t near n/6: 0.75-0.94 s
+    # of CPU against 0.80-1.07 s at n // 8, 1.23-1.38 s at n // 5 and
+    # 2.5-3.0 s at n // 4 (three runs each, 2-vCPU host); over 2..60,
+    # n // 6 also beat n // 4, n // 5 and n // 8.  A larger t widens the
+    # table rows (lcm(1..t) gains divisors), a smaller one leaves more
+    # partitions to walk.  Under n = 24 every t takes well below a
+    # millisecond.  `_plan_split` reads the same rule.
     return max(3, n // 6)
 
 
 def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
-    """Row r maps l to #{pi in S_r : all cycles of pi are <= t, ord(pi) = l}.
+    """Row r maps l to #{pi in S_r : all cycle lengths divide L, ord(pi) = l}.
 
-    The divide-count route of `order_counts_on_lattice`, taken over the
-    divisors of lcm(1..t) with cycle lengths capped at t: `_divide_columns`
-    gives each divisor's whole column, whose row r is divided back by
-    n!/r!, and `DivisorLattice.mobius_steps` inverts the columns.  Whole
+    L = lcm(1..t), so every length up to t counts, and so do longer ones
+    that divide L (6 at t = 3, 10 and 12 at t = 5).  The divide-count
+    route of `order_counts_on_lattice`, taken over the divisors of L:
+    `_divide_columns` gives each divisor's whole column, with the
+    divisors up to n as cycle lengths; row r is divided back by n!/r!,
+    and `DivisorLattice.mobius_steps` inverts the columns.  Whole
     columns are inverted at once and each cell is dropped as its row is
     read, so the table is held about once.  A negative count means an
     inconsistent column, and raises.
@@ -643,9 +650,10 @@ def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
     divisors = lattice.divisors
     f_n = math.factorial(n)
     scales = [f_n // math.factorial(r) for r in range(n + 1)]
+    lengths = [d for d in divisors if d <= n]
     cols: list[list] = [
         [a // s for a, s in zip(col, scales)]
-        for col in _divide_columns(n, range(1, t + 1), divisors, n)
+        for col in _divide_columns(n, lengths, divisors, n)
     ]
     for i, k in lattice.mobius_steps():
         cols[i] = [a - b for a, b in zip(cols[i], cols[k])]
@@ -667,36 +675,41 @@ def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
 
 
 def _long_cycle_table(n: int, t: int) -> list[dict[int, tuple[int, ...]]]:
-    """Permutations of [s] whose cycles are all longer than t, by order, for s <= n.
+    """Permutations of [s] with no cycle length dividing lcm(1..t), by order, for s <= n.
 
     Row s maps g to the flat tuple (h, c, h', c', ...): c permutations
     have order g * h, with g = gcd(order, lcm(1..t)) and h = order // g.
-    One walk over the cycles longer than t, as partitions of at most n
-    labels by descending part size, fills every row: a node that uses s
-    labels with multiplicities c_j holds s!/prod(j^c_j * c_j!)
-    permutations.
+    One walk over the lengths j <= n that do not divide lcm(1..t), all
+    longer than t, as partitions of at most n labels by descending part
+    size, fills every row: a node that uses s labels with multiplicities
+    c_j holds s!/prod(j^c_j * c_j!) permutations.
     """
     big_l = lcm_range(t)
     facts = [math.factorial(s) for s in range(n + 1)]
     rows: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n + 1)]
     lcm = math.lcm
     gcd = math.gcd
-    # (labels used, largest part left, prod(j^c * c!), lcm of the parts).
-    stack = [(0, n, 1, 1)]
+    # The walked lengths, descending, and for each number of free labels
+    # the index of the first one that fits.
+    parts = [j for j in range(n, 0, -1) if big_l % j]
+    fits = [sum(j > free for j in parts) for free in range(n + 1)]
+    # (labels used, index of the largest part left, prod(j^c * c!), lcm of the parts).
+    stack = [(0, 0, 1, 1)]
     while stack:
-        s, maxpart, denom, value = stack.pop()
+        s, first, denom, value = stack.pop()
         g = gcd(value, big_l)
         by_h = rows[s].setdefault(g, {})
         h = value // g
         by_h[h] = by_h.get(h, 0) + facts[s] // denom
-        for j in range(min(maxpart, n - s), t, -1):
+        for i in range(max(first, fits[n - s]), len(parts)):
+            j = parts[i]
             vj = lcm(value, j)
             weight = denom
             c = 0
             while s + j * (c + 1) <= n:
                 c += 1
                 weight *= j * c
-                stack.append((s + j * c, j - 1, weight, vj))
+                stack.append((s + j * c, i + 1, weight, vj))
     # The table is kept for a whole band, and a flat tuple per g takes less
     # than half the memory of the dict that summed it.
     chain = itertools.chain.from_iterable
@@ -741,11 +754,11 @@ def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
     comb = math.comb
 
     # Meet in the middle.  A permutation of [n] splits into s labels in
-    # cycles longer than t and n - s labels in cycles of at most t: C(n, s)
-    # ways to choose the labels, long-table row s for the long cycles and
-    # small-table row n - s for the short ones, of order lcm(g * h, l).
-    # Every such l divides L = lcm(1..t) and g = gcd(g * h, L), so
-    # lcm(g * h, l) = h * lcm(g, l): row n - s is collapsed under
+    # cycles whose lengths do not divide L = lcm(1..t) and n - s labels in
+    # cycles whose lengths do: C(n, s) ways to choose the labels, long-table
+    # row s for the first and small-table row n - s for the second, of
+    # order lcm(g * h, l).  Every such l divides L and g = gcd(g * h, L),
+    # so lcm(g * h, l) = h * lcm(g, l): row n - s is collapsed under
     # l -> lcm(g, l) once per g, with additions only, and each h's ways
     # are spread over it, one product per (h, y) cell.
     try:

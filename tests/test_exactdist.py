@@ -474,11 +474,16 @@ class TestSmallCycleKernel:
         assert sum(before.values()) == math.factorial(n)
 
     def test_table_rows_match_partition_oracle(self):
+        # Row r holds the partitions of r whose parts all divide lcm(1..t),
+        # so lengths above t such as 6 (t = 3) or 10 and 12 (t = 5) count.
         for t in range(1, 8):
+            big_l = numtheory.lcm_range(t)
             table = exactdist._small_cycle_table(12, t)
             for r in range(13):
                 expected: dict[int, int] = {}
-                for parts in helpers.partitions(r, t):
+                for parts in helpers.partitions(r):
+                    if any(big_l % j for j in parts):
+                        continue
                     ell = helpers.lcm_of(parts)
                     expected[ell] = expected.get(ell, 0) + helpers.cycle_type_count(r, parts)
                 assert table[r] == expected
@@ -504,13 +509,15 @@ class TestSmallCycleKernel:
 
 
 # sha256 of repr(sorted(full_pmf(n).entries.items())), frozen from the
-# kernel that merged every walk node with its table row one by one.
+# kernel that merged every walk node with its table row one by one; n = 150
+# from the kernel that split the cycles at length t, not by lcm(1..t).
 FULL_PMF_DIGESTS = {
     72: "abe34dfcd7b4a34466dddf2a94ef99f74e2a5b0e97a912678b60d270281bbc9b",
     84: "35f5a8de7d90454993fc3fd79587e5e1a466c52ab74c14956fc91bb7ddc4e88b",
     90: "836cb2f850c5f1c9520561af8ec79e538db0edabf1b4d7ef421a0fe60d090c11",
     100: "aaa17b9b37da7f8efaf50137360ce798a054b20e5c88c54b3a093efb7acfbebf",
     120: "39d54a88a216d2f6f282156f2e740216d6d8080418de66510f9c42522d261d91",
+    150: "f30414f58e087d8a450f2540ce2894178f8cd936fa342eaa9fe5f4e5cb0e3c8f",
 }
 
 
@@ -596,6 +603,7 @@ class TestGroupedMergeAndTableSlot:
         assert table_builds["small"][-2] == table_builds["long"][-2] == (35, 4)
 
     def test_long_table_rows_match_partition_oracle(self):
+        # Row s holds the partitions of s with no part dividing lcm(1..t).
         for t in range(0, 8):
             big_l = numtheory.lcm_range(t)
             table = exactdist._long_cycle_table(14, t)
@@ -603,7 +611,7 @@ class TestGroupedMergeAndTableSlot:
             for s in range(15):
                 expected: dict[int, dict[int, int]] = {}
                 for parts in helpers.partitions(s):
-                    if parts and parts[-1] <= t:
+                    if any(big_l % j == 0 for j in parts):
                         continue
                     ell = helpers.lcm_of(parts)
                     g = math.gcd(ell, big_l)
