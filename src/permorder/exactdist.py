@@ -11,10 +11,12 @@ cycle lengths all divide d, from a scaled one-state recurrence
 into counts of order exactly d.  `p_exact` counts order m alone: it sums
 mu(s) L(m/s) over squarefree s | m.  Cycles up to t =
 `_small_cycle_limit(n)` are read from one column per term, for e =
-gcd(m/s, lcm(1..t)) (none for e = 1); the rest are walked.  m's prime
-powers above t, and those `_plan_split` adds by a work estimate, are
-cancelled in the walk: their primes take no Moebius term, and a walk
-node counts only if its cycles carry every one of them.
+gcd(m/s, lcm(1..t)); for e = 1 the column is n!/r!, built by one
+descending chain of `math.perm` over the rows the walk reads
+(`_falling_products`).  The rest are walked.  m's prime powers above t,
+and those `_plan_split` adds by a work estimate, are cancelled in the
+walk: their primes take no Moebius term, and a walk node counts only if
+its cycles carry every one of them.
 The full pmf splits the cycle lengths by whether they divide
 L = lcm(1..t).  `_small_cycle_table` runs the recurrence over every
 divisor of L, with the divisors of L as cycle lengths, for every label
@@ -60,6 +62,7 @@ from .numtheory import (
     BudgetExceededError,
     DivisorLattice,
     FactoredInt,
+    _trial_factors,
     factorize,
     lcm_range,
     primes_up_to,
@@ -256,22 +259,16 @@ def count_order_exactly_mobius(n: int, f: FactoredInt) -> int:
 # a bigint addition; b = log2(n!) bits is the size of a scaled row.  A column
 # row costs |J_e| additions and a divmod by nu, plus interpreter steps.  A
 # walk node is walked twice and divides a scaled row by its weight of w
-# bits.  A key takes one addition per Moebius term, and n!/r! for e = 1 costs
-# n small products when its column of falling products is built.  Least
-# squares on relative error, over the `points` orders (n = 201..800, 560
-# columns and 386 walks), gave 0.056 ns per unit, a row 3 b + 3600 units
-# and a node 5 b + b w / 18 + 47 000, on a 2-vCPU host.
+# bits.  A key takes one addition per Moebius term.  Least squares on
+# relative error, over the `points` orders (n = 201..800, 560 columns and
+# 386 walks), gave 0.056 ns per unit, a row 3 b + 3600 units and a node
+# 5 b + b w / 18 + 47 000, on a 2-vCPU host.
 _ROW_DIVISION_WEIGHT = 3
 _ROW_STEP = 3600
 _NODE_WEIGHT = 5
 _NODE_WEIGHT_BITS = 18
 _NODE_STEP = 47_000
-_FALLING_WEIGHT = 3
 _PLAN_MARGIN = 4
-# Past this many distinct label counts r, n!/r! is read from one column of
-# falling products (n multiplications, 0.34 ms at n = 770) rather than from
-# math.perm (up to 25 us a call).
-_FALLING_COLUMN_ROWS = 16
 
 
 class _Split:
@@ -452,17 +449,11 @@ def _plan_split(
             break
         split = _Split(n, divisors, t, small, big, terms)
         keys = set()
-        rows = set()
         for key, weight in split.nodes(n):
             cost += node_cost + bits * weight.bit_length() // _NODE_WEIGHT_BITS
             if key not in keys:
                 keys.add(key)
                 cost += len(terms) * bits
-                r = key >> n_small
-                if r not in rows:
-                    rows.add(r)
-                    if len(rows) == _FALLING_COLUMN_ROWS + 1 and terms[-1][2] == 1:
-                        cost += _FALLING_WEIGHT * n * bits
             if best is not None and cost >= best_cost:
                 break
         else:
@@ -470,6 +461,23 @@ def _plan_split(
             continue
         break
     return best, best_keys
+
+
+def _falling_products(n: int, rows: Iterable[int]) -> dict[int, int]:
+    """n!/r! for each r in ``rows`` (0 <= r <= n), as one descending chain.
+
+    Each row multiplies the one above it by math.perm(prev, prev - r) =
+    prev!/r!, so the chain makes one small product per label in all and
+    holds only the rows asked for.
+    """
+    out = {}
+    f = 1
+    prev = n
+    for r in sorted(rows, reverse=True):
+        f *= math.perm(prev, prev - r)
+        out[r] = f
+        prev = r
+    return out
 
 
 def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
@@ -481,9 +489,10 @@ def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
     column of `_divide_columns`, a_e[r] = W_e(r) * n!/r! with W_e(r) the
     permutations of [r] whose lengths are <= t and divide e, and the rest
     are walked.  For e = 1 only fixed points are short and a_e[r] = n!/r!,
-    with no recurrence.  A walk node that leaves r labels over, with
-    weight prod(j^c * c!), holds n!/(weight * r!) layouts of its cycles,
-    times W_e(r): that is a_e[r] / weight.
+    with no recurrence: `_falling_products` builds it for the key rows
+    alone.  A walk node that leaves r labels over, with weight
+    prod(j^c * c!), holds n!/(weight * r!) layouts of its cycles, times
+    W_e(r): that is a_e[r] / weight.
 
     A prime power q = p^a of m that no short cycle reaches (q > t) gives
     the terms of s and s * p the same column, so they cancel on every
@@ -503,15 +512,7 @@ def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
     split, keys = _plan_split(n, f, divisors, f_n.bit_length())
     n_small = len(split.small)
     rows = {key >> n_small for key in keys}
-    if split.terms[-1][2] != 1:
-        falling = None
-    elif len(rows) > _FALLING_COLUMN_ROWS:
-        falling = [0] * (n + 1)
-        falling[n] = 1
-        for r in range(n - 1, min(rows) - 1, -1):
-            falling[r] = falling[r + 1] * (r + 1)
-    else:
-        falling = {r: math.perm(n, n - r) for r in rows}
+    falling = _falling_products(n, rows) if split.terms[-1][2] == 1 else None
     short = [j for j in divisors if j <= split.t]
     last = max(rows)
     signed = dict.fromkeys(keys, 0)
@@ -556,24 +557,10 @@ def p_exact(n: int, m: int) -> Fraction:
         raise BudgetExceededError(f"n={n} exceeds P_EXACT_MAX_N={P_EXACT_MAX_N}")
     # m is an achievable order iff its maximal prime powers fit into [n]
     # as disjoint cycles; everything else can be padded with fixed points.
-    # So only primes <= n are divided out: whatever is left over has a
-    # prime factor > n, and m is decided without factorizing it.
-    factors = []
-    rem = m
-    for p in primes_up_to(n):
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            factors.append((p, e))
-    if rem > n:
-        return Fraction(0)
-    if rem > 1:
-        factors.append((rem, 1))  # a prime: no prime below sqrt(rem) divides it
-    if sum(p**e for p, e in factors) > n:
+    # So only primes <= n are divided out: a cofactor left over, or a
+    # prime factor > n, rules m out without factorizing it further.
+    factors, rem = _trial_factors(m, n)
+    if rem > 1 or sum(p**e for p, e in factors) > n:
         return Fraction(0)
     f_n = math.factorial(n)
     return Fraction(_count_order(n, FactoredInt(m, tuple(factors)), f_n), f_n)

@@ -2,7 +2,8 @@
 
 Factorizations, divisor lattices with their Moebius-inversion order, lcms
 of initial ranges, the order-forcing k set, and Landau's function.
-Everything is exact integer arithmetic; floats never appear here.
+Everything is exact integer arithmetic; floats never appear here.  The
+package's trial division lives here alone, in `_trial_factors`.
 `BudgetExceededError` lives here, the lowest layer, so that every layer
 can refuse an input past its size budget with the same error.
 
@@ -73,34 +74,44 @@ class FactoredInt:
             raise ValueError(f"factors do not reconstruct {self.value}")
 
 
+def _trial_factors(m: int, top: int) -> tuple[list[tuple[int, int]], int]:
+    """Divide the primes p <= top out of m >= 1: (factors, cofactor).
+
+    The candidates are 2, 3, then 6k +- 1, and the division stops once
+    p * p exceeds what is left.  A leftover proven to be 1 or a prime goes
+    into the factors and the cofactor is 1.  Otherwise the cofactor is > 1
+    and every prime factor of it exceeds ``top``.  `factorize`,
+    `exactdist.p_exact` and the sampler's set-up each pass their own
+    ``top``.  Private, so that bench/tracing.py, which wraps this module's
+    public functions, adds no span for it.
+    """
+    factors = []
+    rem = m
+    p, step = 2, 1  # p runs 2, 3, 5, 7, 11, 13, 17, ...
+    while p <= top and p * p <= rem:
+        if not rem % p:
+            e = 0
+            while not rem % p:
+                rem //= p
+                e += 1
+            factors.append((p, e))
+        p += step
+        step = 4 if p % 6 == 1 else 2
+    if p * p > rem:
+        if rem > 1:
+            factors.append((rem, 1))
+        rem = 1
+    return factors, rem
+
+
 # Bounded so a long run over many m cannot grow it without limit; a
 # factorization is a few hundred bytes, and callers reuse recent m only.
 @lru_cache(maxsize=1024)
 def factorize(m: int) -> FactoredInt:
-    """Prime factorization by trial division (2, 3, then 6k+-1 up to sqrt)."""
+    """Prime factorization by trial division up to sqrt(m)."""
     if m < 1:
         raise ValueError(f"cannot factorize {m}; need m >= 1")
-    factors = []
-    rem = m
-    for p in (2, 3):
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            factors.append((p, e))
-    d = 5
-    while d * d <= rem:
-        for p in (d, d + 2):
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                factors.append((p, e))
-        d += 6
-    if rem > 1:
-        factors.append((rem, 1))
+    factors, _ = _trial_factors(m, math.isqrt(m))
     return FactoredInt(m, tuple(factors))
 
 

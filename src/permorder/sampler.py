@@ -50,13 +50,13 @@ discarded.
 
 The per-draw loop still runs where the block reader cannot serve or gives
 no gain.  It cannot serve first draws wider than 32 bits (n >= 2**32), nor
-an m whose lengths j <= n trial division up to sqrt(n) cannot settle.  It
-gives no gain where more than 1/32 of first draws continue (chains then
-dominate), where the table has more than 32 open bytes, or where the
-set-up (trial division and the table) would cost more than a small share
-of the trials.  CPU time over 10 chunks of 10 000 trials, median of 3, on a
-shared 2-vCPU x86 host, Python 3.11, in M trials/s per draw against
-blocks:
+an m whose lengths j <= n `numtheory`'s trial division, run over the
+primes up to sqrt(n), cannot settle.  It gives no gain where more than
+1/32 of first draws continue (chains then dominate), where the table has
+more than 32 open bytes, or where the set-up (trial division and the
+table) would cost more than a small share of the trials.  CPU time over
+10 chunks of 10 000 trials, median of 3, on a shared 2-vCPU x86 host,
+Python 3.11, in M trials/s per draw against blocks:
 
   =====================  ========  =====  ======  =====
   n, m                   continue  open   draw    block
@@ -91,6 +91,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactdist import brute_force_pmf
+from .numtheory import _trial_factors
 
 # The draw rule of the estimators (see the module docstring); seeded hit
 # counts are reproducible only under the same version.
@@ -279,26 +280,13 @@ def _hits_order_eq(task: tuple[int, int, int, int]) -> int:
 def _lengths_dividing(m: int, n: int, top: int, most: int) -> list[int] | None:
     """The cycle lengths j <= n that divide m, unsorted, or None.
 
-    Trial division runs up to `top`.  What is left of m is then 1, a prime,
-    or a cofactor whose prime factors all exceed `top`; only the last can
-    hide a length, and then None is returned, as it is when there are more
-    than `most` lengths.
+    Trial division runs up to `top`.  A cofactor it leaves unsettled has
+    only prime factors above `top`, and may hide a length: then None is
+    returned, as it is when there are more than `most` lengths.
     """
-    factors = []
-    rem = m
-    p = 2
-    while p <= top and p * p <= rem:
-        if not rem % p:
-            e = 0
-            while not rem % p:
-                rem //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if p * p <= rem:
-        return None
+    factors, rem = _trial_factors(m, top)
     if rem > 1:
-        factors.append((rem, 1))
+        return None
     lengths = [1]
     for p, e in factors:
         step = lengths

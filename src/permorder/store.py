@@ -94,44 +94,30 @@ def frac_str(value: Fraction) -> str:
 def to_json(value: Any, *, sort_keys: bool = False) -> str:
     """The compact JSON text of a result value, in one walk over it.
 
-    Fractions are written as ``"p/q"`` strings and integers outside
-    +-(2**53 - 1) as decimal strings, so that every value survives a
-    round trip exactly; dict keys are ``str()``-ed; dicts, lists and
-    tuples are written recursively, and any other type raises
-    ``TypeError``.  Strings are escaped to ASCII.  The text is byte for
-    byte what ``json.dumps`` with ``separators=(",", ":")`` and the given
-    ``sort_keys`` writes for the value with those conversions made.  The
-    exact types of result rows take the first branches; other values,
-    subclasses among them, follow the same rules through ``isinstance``.
+    Values are dispatched on their exact type: str, int, bool, None,
+    float, Fraction, list, tuple, and dict with str keys.  Fractions are
+    written as ``"p/q"`` strings and integers outside +-(2**53 - 1) as
+    decimal strings, so that every value survives a round trip exactly.
+    Any other type, subclasses of these and non-str keys among them,
+    raises ``TypeError``.  Strings are escaped to ASCII.  The text is byte
+    for byte what ``json.dumps`` with ``separators=(",", ":")`` and the
+    given ``sort_keys`` writes for the value with those conversions made.
     Each distinct key is quoted once per call.
     """
     keys: dict[str, str] = {}
 
     # The recursion stays inside one call, so bench/tracing.py, which wraps
     # module-level functions, records one span per document, not per value.
-    def members(pairs: Any, str_ed: bool) -> str | None:
+    def mapping(d: dict) -> str:
         out = []
-        for k, x in pairs:
-            if type(k) is str:
-                kq = keys.get(k)
-                if kq is None:
-                    kq = keys[k] = _quote(k) + ":"
-            elif str_ed:  # a str subclass that str() returned
-                kq = _quote(k) + ":"
-            else:
-                return None
+        for k, x in sorted(d.items()) if sort_keys else d.items():
+            if type(k) is not str:
+                raise TypeError(f"cannot store a key of type {type(k).__name__}")
+            kq = keys.get(k)
+            if kq is None:
+                kq = keys[k] = _quote(k) + ":"
             out.append(kq + encode(x))
         return "{" + ",".join(out) + "}"
-
-    def mapping(d: dict) -> str:
-        if not sort_keys:
-            text = members(d.items(), False)
-            if text is not None:
-                return text
-        # Keys are str()-ed first; a key whose str() repeats an earlier
-        # key's replaces that key's value in the earlier place.
-        pairs = {str(k): x for k, x in d.items()}.items()
-        return members(sorted(pairs) if sort_keys else pairs, True)
 
     def encode(v: Any) -> str:
         t = type(v)
@@ -145,28 +131,18 @@ def to_json(value: Any, *, sort_keys: bool = False) -> str:
             return mapping(v)
         if t is list or t is tuple:
             return "[" + ",".join([encode(x) for x in v]) + "]"
-        if isinstance(v, str):
-            return _quote(v)
-        if isinstance(v, float):
+        if t is float:
             # json.dumps writes the shortest repr, or the names JavaScript
             # gives the values that have no number literal.
             if v != v:
                 return "NaN"
             if math.isinf(v):
                 return "Infinity" if v > 0 else "-Infinity"
-            return float.__repr__(v)
-        if isinstance(v, bool):
+            return repr(v)
+        if t is bool:
             return "true" if v else "false"
         if v is None:
             return "null"
-        if isinstance(v, int):
-            return int.__repr__(v) if -_JSON_INT_MAX <= v <= _JSON_INT_MAX else _quote(str(v))
-        if isinstance(v, Fraction):
-            return _quote(frac_str(v))
-        if isinstance(v, dict):
-            return mapping(v)
-        if isinstance(v, (list, tuple)):
-            return "[" + ",".join([encode(x) for x in v]) + "]"
         raise TypeError(f"cannot store value of type {t.__name__}")
 
     return encode(value)

@@ -355,17 +355,27 @@ class TestOrderOnlyRoute:
     def test_named_orders(self, n, m):
         assert p_exact(n, m) == _mobius_p(n, m)
 
-    @pytest.mark.parametrize("n, m", [(324, 323), (201, 201), (60, 59)])
-    def test_falling_column_matches_perm(self, monkeypatch, n, m):
-        # n!/r! for e = 1 comes from math.perm for a few rows and from one
-        # column of falling products for many; both must give the count.
-        monkeypatch.setattr(exactdist, "_FALLING_COLUMN_ROWS", 0)
+    @pytest.mark.parametrize(
+        "n, rows",
+        [(0, [0]), (1, [0, 1]), (12, range(13)), (12, [12]), (12, [0]),
+         (40, [39, 3, 17, 0]), (300, [300, 299, 150, 2, 0]), (300, range(0, 301, 7))],
+    )
+    def test_falling_products(self, n, rows):
+        # Dense and sparse row sets, with and without r = 0 and r = n.
+        assert exactdist._falling_products(n, rows) == {
+            r: math.factorial(n) // math.factorial(r) for r in rows
+        }
+
+    @pytest.mark.parametrize("n, m", [(798, 797), (716, 715)])
+    def test_falling_chain_rows(self, n, m):
+        # e = 1 with one key row (797 is prime: its cycle leaves one label)
+        # and with 55 key rows (715 = 5 * 11 * 13).
         assert p_exact(n, m) == _mobius_p(n, m)
 
     def test_budget_fires_before_any_work(self, monkeypatch):
         started = []
         monkeypatch.setattr(exactdist, "_divide_columns", lambda *a: started.append(a))
-        monkeypatch.setattr(exactdist, "primes_up_to", lambda n: started.append(n))
+        monkeypatch.setattr(exactdist, "_trial_factors", lambda *a: started.append(a))
         with pytest.raises(BudgetExceededError, match=f"P_EXACT_MAX_N={P_EXACT_MAX_N}"):
             p_exact(P_EXACT_MAX_N + 1, 2)
         with pytest.raises(BudgetExceededError):

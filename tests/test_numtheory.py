@@ -73,6 +73,22 @@ class TestFactorize:
             for p, _ in factorize(m).factors:
                 assert all(p % q for q in range(2, math.isqrt(p) + 1))
 
+    @given(st.integers(1, 10**9), st.integers(0, 200))
+    @settings(max_examples=500, deadline=None)
+    def test_bounded_trial_division(self, m, top):
+        # Only primes <= top are divided out; a cofactor > 1 is one the
+        # division could not settle, with every prime factor > top.
+        factors, rem = numtheory._trial_factors(m, top)
+        assert math.prod(p**e for p, e in factors) * rem == m
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        full = dict(factorize(m).factors)
+        assert all(full[p] == e for p, e in factors)
+        if rem > 1:
+            assert all(p > top for p, _ in factorize(rem).factors)
+            assert all(p <= top for p, _ in factors)
+        else:
+            assert dict(factors) == full
+
     def test_malformed_factoredint_rejected(self):
         with pytest.raises(ValueError):
             FactoredInt(6, ((3, 1), (2, 1)))  # primes out of order

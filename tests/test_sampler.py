@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -258,6 +259,38 @@ def block_words(buf: bytes) -> list[int]:
     return [int.from_bytes(buf[i : i + 4], "little") for i in range(0, len(buf), 4)]
 
 
+TOP_BYTE_PAIRS = [(64, 61), (97, 97), (100, 97), (255, 254), (257, 257), (800, 797),
+                  (2049, 2048), (4095, 4094)]
+# More than 1/32 of first draws continue; 33-bit first draws; too few
+# trials to pay for the table; a prime cofactor beyond the trial
+# divisions; 128 open bytes.
+PER_DRAW_ROWS = [
+    (10, 10, 10**6), (100, 100, 10**6), (600, 600, 10**6), (2**32, 2**32, 10**6),
+    (800, 797, 100), (1000, 2**61 - 1, 10**6),
+    (2**20, 2**10 * 3**5 * 5**3 * 7**2 * 11 * 13, 10**6),
+]
+
+
+def first_draw_rows() -> list[tuple[int, int, int]]:
+    """Every (n, m) the `points` benchmark workload can sample, at its 10 000
+    trials (m in [200, 800), n = m + k for each k with lcm(1..k) | m), then
+    the rows of `TestBlockReader`."""
+    rows = []
+    for m in range(200, 800):
+        k, ell = 0, 1
+        while m % ell == 0:
+            rows.append((m + k, m, 10_000))
+            k += 1
+            ell = math.lcm(ell, k)
+    rows += [(n, m, 10**6) for n, m in TOP_BYTE_PAIRS]
+    return rows + BLOCK_ROWS + PER_DRAW_ROWS
+
+
+# sha256 over `first_draw_rows` of each class table, None included,
+# recorded before the sampler's set-up took numtheory's trial division.
+FIRST_DRAW_SHA256 = "74f53a60be775156ff8e57fe79ab61fafa4d3cf4baeb77e44d994f8c7d94cb48"
+
+
 class TestBlockReader:
     """The block reader reads the per-draw stream, word for word."""
 
@@ -274,10 +307,7 @@ class TestBlockReader:
             )
             assert ours.getstate() == ref.getstate()
 
-    @pytest.mark.parametrize(
-        "n, m", [(64, 61), (97, 97), (100, 97), (255, 254), (257, 257), (800, 797),
-                 (2049, 2048), (4095, 4094)],
-    )
+    @pytest.mark.parametrize("n, m", TOP_BYTE_PAIRS)
     def test_class_of_every_top_byte(self, n, m):
         # Open exactly where some word of that top byte is a first draw
         # that continues, or where the byte gives both x < n and x >= n.
@@ -308,17 +338,16 @@ class TestBlockReader:
     def test_block_rows_take_the_block_reader(self, n, m, trials):
         assert sampler._first_draw_classes(n, m, trials) is not None
 
-    @pytest.mark.parametrize(
-        "n, m, trials",
-        [(10, 10, 10**6), (100, 100, 10**6), (600, 600, 10**6), (2**32, 2**32, 10**6),
-         (800, 797, 100), (1000, 2**61 - 1, 10**6),
-         (2**20, 2**10 * 3**5 * 5**3 * 7**2 * 11 * 13, 10**6)],
-    )
+    @pytest.mark.parametrize("n, m, trials", PER_DRAW_ROWS)
     def test_per_draw_loop_where_blocks_give_no_gain(self, n, m, trials):
-        # more than 1/32 of first draws continue; 33-bit first draws; too
-        # few trials to pay for the table; a prime cofactor beyond the
-        # trial divisions; 128 open bytes
         assert sampler._first_draw_classes(n, m, trials) is None
+
+    def test_first_draw_tables_are_pinned(self):
+        digest = hashlib.sha256()
+        for n, m, trials in first_draw_rows():
+            table = sampler._first_draw_classes(n, m, trials)
+            digest.update(f"{n} {m} {trials} {'None' if table is None else table.hex()}\n".encode())
+        assert digest.hexdigest() == FIRST_DRAW_SHA256
 
     @given(
         n=st.integers(min_value=1, max_value=5000),

@@ -55,7 +55,7 @@ _json_values = st.recursive(
     _json_scalars,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=3) | st.integers(-20, 20), inner, max_size=4),
+    | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20,
 )
 
@@ -122,7 +122,9 @@ class TestToJson:
         assert to_json(True) == "true"
         assert to_json(None) == "null"
         assert to_json(0.5) == "0.5"
-        assert to_json({3: (Fraction(1, 3), [2**64])}) == f'{{"3":["1/3",["{2**64}"]]}}'
+        assert to_json({"3": (Fraction(1, 3), [2**64])}) == f'{{"3":["1/3",["{2**64}"]]}}'
+        with pytest.raises(TypeError):
+            to_json({3: (Fraction(1, 3), [2**64])})
         with pytest.raises(TypeError):
             to_json(object())
 
@@ -132,7 +134,7 @@ class TestToJson:
     @example(value=["", "caf\u00e9 \u2203 \U0001d11e", "\x00\x1f\x7f\n\t\"\\/"])
     @example(value=[-0.0, 0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf])
     @example(value=[True, False, None, (1, (2, (3, ())), [])])
-    @example(value={10: "a", 9: ("b",), -1: {2: None}, "x": 2**64})
+    @example(value={"10": "a", "9": ("b",), "-1": {"2": None}, "x": 2**64})
     @settings(max_examples=300, deadline=None)
     def test_matches_conversion_then_json_dumps(self, value):
         for sort_keys in (False, True):
@@ -140,49 +142,33 @@ class TestToJson:
                 value, sort_keys
             )
 
-    def test_subclasses_follow_the_same_rules(self):
+    def test_only_exact_types_are_stored(self):
+        # Subclasses of the stored types and dict keys that are not str
+        # raise, at any depth and with either key order.
         class Str(str):
-            def __str__(self):
-                return "other"
+            pass
 
         class Int(int):
-            def __repr__(self):
-                return "other"
-
-            __str__ = __repr__
+            pass
 
         class Float(float):
-            def __repr__(self):
-                return "other"
+            pass
 
         class Frac(Fraction):
             pass
 
-        class Key:
-            def __str__(self):
-                return Str("k")
-
         Pair = collections.namedtuple("Pair", "a b")
-        values = [
-            Str("s\u00e9"),
-            Int(5),
-            Int(2**60),
-            Float(0.25),
-            Float("nan"),
-            Frac(-3, 4),
-            Pair(1, Fraction(1, 2)),
-            collections.OrderedDict([("b", 1), ("a", [Str("x")])]),
-            collections.defaultdict(list, {Str("c"): 1, 2: 2}),
-            {1: "int", "1": "str", True: "bool", 1.5: "float", None: "none"},
-            {Key(): 1, Str("j"): 2},
+        bad = [
+            Str("s"), Int(5), Float(0.25), Frac(-3, 4), Pair(1, 2),
+            collections.OrderedDict([("b", 1)]), collections.defaultdict(list, {"c": 1}),
+            {1: "int"}, {"1": "str", True: "bool"}, {1.5: "float"}, {None: "none"},
+            {Str("j"): 2}, {"k": {2: None}}, [1, [Int(2)]],
+            object(), {1, 2}, b"bytes", [1, [complex(1, 2)]], {"k": range(3)},
         ]
-        for sort_keys in (False, True):
-            assert to_json(values, sort_keys=sort_keys) == helpers.json_by_conversion(
-                values, sort_keys
-            )
-        for bad in (object(), {1, 2}, b"bytes", [1, [complex(1, 2)]], {"k": range(3)}):
-            with pytest.raises(TypeError):
-                to_json(bad)
+        for value in bad:
+            for sort_keys in (False, True):
+                with pytest.raises(TypeError):
+                    to_json(value, sort_keys=sort_keys)
 
     def test_huge_counts_survive_round_trip(self, tmp_path):
         count = math.factorial(100) - 1
