@@ -28,10 +28,14 @@ l in the small table divides L, so lcm(g * h, l) = h * lcm(g, l), and
 for each s small-table row n - s is collapsed once per g and spread
 over the h's, weighted by C(n, s).  The rows of both tables do not
 depend on n, so the last pair built is kept in a one-entry slot and
-serves every n with the same t that it has rows for.  `mode` is read off
-that exact pmf.  `order_counts_on_lattice` gives the counts of every
-divisor of m at once; no code in this package calls it, and it stays as
-a reference for the tests.
+serves every n with the same t that it has rows for.  `mode` holds no
+pmf: the order m fixes h = m // gcd(m, L), so the orders fall into
+disjoint h groups, and `_merge_groups`, the merge that `full_pmf` runs
+with floor 0, merges only the groups whose total count reaches the
+`_count_order` count of n - k0, k0 the largest forcing offset.
+`order_counts_on_lattice` gives the counts of every divisor of m at
+once; no code in this package calls it, and it stays as a reference for
+the tests.
 `count_order_exactly_mobius` runs inclusion-exclusion over prime-exponent
 drops on the falling-factorial recursion of `count_lengths_divide`, and
 `count_restricted_cycles` runs that recursion with a cycle-count index.
@@ -40,9 +44,10 @@ route, brute-force enumeration (`brute_force_pmf`) and the reference code
 in tests/helpers.py.
 
 Every size limit is a module constant, read when the call is made:
-DEFAULT_MAX_N and DEFAULT_MAX_SUPPORT for the full pmf and everything
-read off it, P_EXACT_MAX_N for point queries and TAIL_MAX_BITS for the
-cutoff of `tail_max`.  The support budget is checked as the support is
+DEFAULT_MAX_N for the full pmf, everything read off it and `mode`,
+DEFAULT_MAX_SUPPORT for the full pmf and everything read off it,
+P_EXACT_MAX_N for point queries and TAIL_MAX_BITS for the cutoff of
+`tail_max`.  The support budget is checked as the support is
 enumerated, the others before any work.  Raising a budget means
 assigning the constant, e.g. ``exactdist.DEFAULT_MAX_N = 120``.
 """
@@ -53,6 +58,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +69,7 @@ from .numtheory import (
     DivisorLattice,
     FactoredInt,
     _trial_factors,
+    compute_forcing_set,
     factorize,
     lcm_range,
     primes_up_to,
@@ -566,10 +573,12 @@ def p_exact(n: int, m: int) -> Fraction:
     return Fraction(_count_order(n, FactoredInt(m, tuple(factors)), f_n), f_n)
 
 
-# One entry holds up to max_support ints (18 663 at n = 100, about 0.7 MB),
-# and callers reuse only the n they are working on.  The budget is part of
-# the key, so a lowered DEFAULT_MAX_SUPPORT is never served a cached answer.
-@lru_cache(maxsize=4)
+# One entry holds up to max_support ints (18 663 at n = 100, about 0.7 MB).
+# Its callers, `full_pmf` and `support`, each reuse only the n they are
+# working on, so a sweep keeps one support, not the last few.  The budget is
+# part of the key, so a lowered DEFAULT_MAX_SUPPORT is never served a cached
+# answer.
+@lru_cache(maxsize=1)
 def _support_values(n: int, max_support: int) -> tuple[int, ...]:
     primes = primes_up_to(n)
     out: list[int] = []
@@ -731,37 +740,74 @@ def _cycle_tables(n: int, t: int) -> _Tables:
     return tables
 
 
-# Keyed on the support budget as well, like `_support_values`.
-@lru_cache(maxsize=1)
-def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
-    entries = dict.fromkeys(_support_values(n, max_support), 0)
+def _merge_groups(n: int, counts: dict[int, int], floor: int) -> None:
+    """Add to ``counts`` the orders of every h group whose mass is ``floor`` or more.
+
+    Meet in the middle.  A permutation of [n] splits into s labels in
+    cycles whose lengths do not divide L = lcm(1..t) and n - s labels in
+    cycles whose lengths do: C(n, s) ways to choose the labels, long-table
+    row s for the first and small-table row n - s for the second, of
+    order lcm(g * h, l).  Every such l divides L and g = gcd(g * h, L),
+    so lcm(g * h, l) = h * lcm(g, l): row n - s is collapsed under
+    l -> lcm(g, l) once per g, with additions only, and each h's ways
+    are spread over it, one product per (h, y) cell.
+
+    The order m alone fixes h = m // gcd(m, L), so the orders fall into
+    disjoint groups, one per h.  A group's mass, the sum over its
+    long-table entries of C(n, s) * w * R(n - s) with R(r) the total of
+    small-table row r, is the sum of its orders' counts, so no order of a
+    group with mass below ``floor`` counts ``floor`` or more.  For a
+    positive floor the masses are summed, must sum to n! (or RuntimeError
+    is raised), and the long-table entries of the groups below the floor
+    are dropped before the merge; floor 0 merges the tables as they are.
+    """
     t = min(_small_cycle_limit(n), n)
     small, long = _cycle_tables(n, t)
     lcm = math.lcm
     comb = math.comb
-
-    # Meet in the middle.  A permutation of [n] splits into s labels in
-    # cycles whose lengths do not divide L = lcm(1..t) and n - s labels in
-    # cycles whose lengths do: C(n, s) ways to choose the labels, long-table
-    # row s for the first and small-table row n - s for the second, of
-    # order lcm(g * h, l).  Every such l divides L and g = gcd(g * h, L),
-    # so lcm(g * h, l) = h * lcm(g, l): row n - s is collapsed under
-    # l -> lcm(g, l) once per g, with additions only, and each h's ways
-    # are spread over it, one product per (h, y) cell.
-    try:
+    if floor > 0:
+        mass: dict[int, int] = {}
         for s in range(n + 1):
-            row = small[n - s]
-            b = comb(n, s)
-            for g, hw in long[s].items():
-                col: dict[int, int] = {}
-                for ell, c in row.items():
-                    y = lcm(g, ell)
-                    col[y] = col.get(y, 0) + c
+            b = comb(n, s) * sum(small[n - s].values())
+            for hw in long[s].values():
                 pairs = iter(hw)
                 for h, w in zip(pairs, pairs):
-                    w *= b
-                    for y, c in col.items():
-                        entries[h * y] += w * c
+                    mass[h] = mass.get(h, 0) + b * w
+        if sum(mass.values()) != math.factorial(n):
+            raise RuntimeError(
+                f"internal inconsistency at n={n}: the group masses do not sum to n!"
+            )
+        kept_rows = []
+        for by_g in long[: n + 1]:
+            kept_row = {}
+            for g, hw in by_g.items():
+                pairs = iter(hw)
+                kept = [pair for pair in zip(pairs, pairs) if mass[pair[0]] >= floor]
+                if kept:
+                    kept_row[g] = tuple(itertools.chain.from_iterable(kept))
+            kept_rows.append(kept_row)
+        long = kept_rows
+    for s in range(n + 1):
+        row = small[n - s]
+        b = comb(n, s)
+        for g, hw in long[s].items():
+            col: dict[int, int] = {}
+            for ell, c in row.items():
+                y = lcm(g, ell)
+                col[y] = col.get(y, 0) + c
+            pairs = iter(hw)
+            for h, w in zip(pairs, pairs):
+                w *= b
+                for y, c in col.items():
+                    counts[h * y] += w * c
+
+
+# Keyed on the support budget as well, like `_support_values`.
+@lru_cache(maxsize=1)
+def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
+    entries = dict.fromkeys(_support_values(n, max_support), 0)
+    try:
+        _merge_groups(n, entries, 0)
     except KeyError as exc:
         raise RuntimeError(
             f"internal inconsistency at n={n}: order {exc.args[0]} is not in support({n})"
@@ -796,13 +842,43 @@ def full_pmf(n: int) -> OrderPmf:
 
 
 def mode(n: int) -> ModeResult:
-    """All most-likely orders: every argmax of the exact pmf, ties kept."""
-    entries = full_pmf(n).entries
-    best = max(entries.values())
-    argmax = tuple(sorted(m for m, c in entries.items() if c == best))
-    return ModeResult(
-        n=n, argmax=argmax, max_count=best, max_prob=Fraction(best, math.factorial(n))
-    )
+    """All most-likely orders of a permutation of [n], ties kept, without the pmf.
+
+    T = count(n - k0), with k0 the largest forcing offset, is counted by
+    `_count_order`, the route of `p_exact`.  The most likely orders count
+    T or more, so `_merge_groups` merges only the h groups whose mass
+    reaches T, and no pmf or support is held.  Checks, each raising
+    RuntimeError: the group masses sum to n!; the merged count of n - k0
+    equals T, two independent routes agreeing; every argmax is an
+    achievable order, its prime powers dividing out over the primes <= n
+    and summing to at most n.  An n above DEFAULT_MAX_N raises
+    `BudgetExceededError` before any work is done; DEFAULT_MAX_SUPPORT
+    does not apply.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > DEFAULT_MAX_N:
+        raise BudgetExceededError(f"n={n} exceeds max_n={DEFAULT_MAX_N}")
+    f_n = math.factorial(n)
+    expected = n - compute_forcing_set(n).max_k
+    factors, _ = _trial_factors(expected, n)
+    target = _count_order(n, FactoredInt(expected, tuple(factors)), f_n)
+    counts: dict[int, int] = defaultdict(int)
+    _merge_groups(n, counts, target)
+    if counts[expected] != target:
+        raise RuntimeError(
+            f"internal inconsistency at n={n}: the merge counts {counts[expected]} "
+            f"permutations of order {expected}, the point count {target}"
+        )
+    best = max(counts.values())
+    argmax = tuple(sorted(m for m, c in counts.items() if c == best))
+    for m in argmax:
+        factors, rem = _trial_factors(m, n)
+        if rem > 1 or sum(p**e for p, e in factors) > n:
+            raise RuntimeError(
+                f"internal inconsistency at n={n}: argmax {m} is not an achievable order"
+            )
+    return ModeResult(n=n, argmax=argmax, max_count=best, max_prob=Fraction(best, f_n))
 
 
 def collision_norm(n: int) -> Fraction:

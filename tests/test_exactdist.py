@@ -7,6 +7,7 @@ engine was implemented; the oracles never share code with the engine.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -707,7 +708,7 @@ class TestMode:
         assert res.max_prob == 1
 
     def test_matches_full_pmf_argmax(self):
-        for n in range(1, 31):
+        for n in range(1, DEFAULT_MAX_N + 1):
             res = mode(n)
             pmf = full_pmf(n).entries
             best = max(pmf.values())
@@ -715,12 +716,83 @@ class TestMode:
             assert res.argmax == tuple(sorted(m for m, c in pmf.items() if c == best))
             assert res.max_prob == Fraction(best, math.factorial(n))
 
+    def test_holds_no_pmf(self, cold_slot, monkeypatch):
+        ns = (2, 20, 60, 61)
+        expected = {n: mode(n) for n in ns}
+
+        def refused(*args):
+            raise AssertionError("mode read the pmf or the support")
+
+        for name in ("full_pmf", "_full_counts", "_support_values"):
+            monkeypatch.setattr(exactdist, name, refused)
+        exactdist._TABLE_SLOT.clear()
+        assert {n: mode(n) for n in ns} == expected
+
+    def test_masses_off_n_factorial_raise(self, cold_slot, monkeypatch):
+        real = exactdist._small_cycle_table
+
+        def raised(n: int, t: int) -> list[dict[int, int]]:
+            rows = real(n, t)
+            rows[3][3] += 1
+            return rows
+
+        monkeypatch.setattr(exactdist, "_small_cycle_table", raised)
+        with pytest.raises(
+            RuntimeError, match=r"internal inconsistency at n=20: the group masses do not sum to n!"
+        ):
+            mode(20)
+
+    def test_point_count_cross_check(self, monkeypatch):
+        # 20 - k0 = 18; a point count one too high no longer meets the merge.
+        real = exactdist._count_order
+        monkeypatch.setattr(exactdist, "_count_order", lambda n, f, f_n: real(n, f, f_n) + 1)
+        with pytest.raises(
+            RuntimeError, match=r"internal inconsistency at n=20: the merge counts \d+ "
+            r"permutations of order 18"
+        ):
+            mode(20)
+
+    def test_unachievable_argmax_raises(self, monkeypatch):
+        # mode(6) is 6, and 6 - k0 = 4 is counted as usual.
+        real = exactdist._trial_factors
+
+        def lying(m: int, top: int):
+            factors, rem = real(m, top)
+            return (factors, 7) if m == 6 else (factors, rem)
+
+        monkeypatch.setattr(exactdist, "_trial_factors", lying)
+        with pytest.raises(
+            RuntimeError, match=r"internal inconsistency at n=6: argmax 6 is not an achievable"
+        ):
+            mode(6)
+
+    @pytest.mark.parametrize("n", [12, 20, 37, 60])
+    def test_group_at_the_floor_is_kept(self, n):
+        # Group orders by h = m // gcd(m, L) from the pmf itself, and merge
+        # with the floor set to one group's mass exactly.
+        big_l = numtheory.lcm_range(min(exactdist._small_cycle_limit(n), n))
+        pmf = full_pmf(n).entries
+        mass: dict[int, int] = {}
+        for m, c in pmf.items():
+            h = m // math.gcd(m, big_l)
+            mass[h] = mass.get(h, 0) + c
+        floor = sorted(set(mass.values()))[len(set(mass.values())) // 2]
+        kept = {h for h, c in mass.items() if c >= floor}
+        assert floor in (mass[h] for h in kept) and len(kept) < len(mass)
+        counts: dict[int, int] = collections.defaultdict(int)
+        exactdist._merge_groups(n, counts, floor)
+        assert counts == {m: c for m, c in pmf.items() if m // math.gcd(m, big_l) in kept}
+
     def test_mode_at_least_point_prob_at_n(self):
         for n in range(2, 31):
             assert mode(n).max_prob >= p_exact(n, n) >= Fraction(1, n)
 
-    def test_budget_error(self):
-        with pytest.raises(BudgetExceededError):
+    def test_budget_error(self, monkeypatch):
+        # Both errors come before any count is made.
+        monkeypatch.setattr(exactdist, "_count_order", None)
+        with pytest.raises(ValueError):
+            mode(0)
+        with pytest.raises(BudgetExceededError, match=r"n=101 exceeds max_n=100"):
             mode(101)
 
 
