@@ -319,7 +319,7 @@ def _cmd_pmf(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
     fact = math.factorial(n)
     rows = [
         {"m": m, "count": str(count), "prob": Fraction(count, fact)}
-        for m, count in sorted(full_pmf(n).entries.items())
+        for m, count in full_pmf(n).entries.items()
     ]
     return rows, EXIT_OK
 

@@ -30,9 +30,11 @@ over the h's, weighted by C(n, s).  The rows of both tables do not
 depend on n, so the last pair built is kept in a one-entry slot and
 serves every n with the same t that it has rows for.  `mode` holds no
 pmf: the order m fixes h = m // gcd(m, L), so the orders fall into
-disjoint h groups, and `_merge_groups`, the merge that `full_pmf` runs
-with floor 0, merges only the groups whose total count reaches the
-`_count_order` count of n - k0, k0 the largest forcing offset.
+disjoint h groups.  Its first call on a pair adds to the slot an index
+of the long table's entries by h.  It sums each group's mass from the
+index, then merges the groups whose mass reaches the `_count_order`
+count of n - k0 (k0 the largest forcing offset) one at a time, holding
+one group's orders and a running argmax.
 `order_counts_on_lattice` gives the counts of every divisor of m at
 once; no code in this package calls it, and it stays as a reference for
 the tests.
@@ -58,7 +60,6 @@ import bisect
 import itertools
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -712,18 +713,45 @@ def _long_cycle_table(n: int, t: int) -> list[dict[int, tuple[int, ...]]]:
     return [{g: tuple(chain(by_h.items())) for g, by_h in row.items()} for row in rows]
 
 
-# The last pair of tables built, small-cycle and long-cycle, under their
-# clipped limit t.  Row r of either table depends on t alone, not on the n
-# it was built for, so one pair serves every n whose clipped t matches and
-# whose rows it holds.  At most one pair is alive: the slot is emptied
-# before the next build.
-_Tables = tuple[list[dict[int, int]], list[dict[int, tuple[int, ...]]]]
-_TABLE_SLOT: dict[int, _Tables] = {}
+# The last tables built, under their clipped limit t, as the list [small-cycle
+# table, long-cycle table, index by h]: the index (`_group_index`) is None
+# until `mode` first asks for it, since `full_pmf` never reads it.  Row r of
+# either table depends on t alone, not on the n it was built for, so one
+# entry serves every n whose clipped t matches and whose rows it holds.  At
+# most one entry is alive: the slot is emptied before the next build.
+_Groups = dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
+_TABLE_SLOT: dict[int, list] = {}
 
 
-def _cycle_tables(n: int, t: int) -> _Tables:
-    """Rows 0..n (or more) of `_small_cycle_table` and `_long_cycle_table`.
+def _group_index(
+    small: list[dict[int, int]], long: list[dict[int, tuple[int, ...]]]
+) -> tuple[_Groups, list[int]]:
+    """The long table's entries grouped by h, and the small table's row totals.
 
+    The index maps h to the flat tuples (s, g, w, s', g', w', ...) of its
+    long-table entries and (s, total, s', total', ...) of their sums over g,
+    both by ascending s.  The totals list holds R(r), the total of
+    small-table row r.
+    """
+    cells: dict[int, list[int]] = {}
+    sums: dict[int, dict[int, int]] = {}
+    for s, row in enumerate(long):
+        for g, hw in row.items():
+            pairs = iter(hw)
+            for h, w in zip(pairs, pairs):
+                cells.setdefault(h, []).extend((s, g, w))
+                by_s = sums.setdefault(h, {})
+                # A lone entry's total is its count itself, not a copy.
+                by_s[s] = by_s[s] + w if s in by_s else w
+    chain = itertools.chain.from_iterable
+    groups = {h: (tuple(c), tuple(chain(sums[h].items()))) for h, c in cells.items()}
+    return groups, [sum(row.values()) for row in small]
+
+
+def _cycle_tables(n: int, t: int) -> list:
+    """The slot entry holding rows 0..n (or more) of both tables.
+
+    That is [`_small_cycle_table`, `_long_cycle_table`, index or None].
     t is the limit clipped to n.  A miss builds both tables up to the
     largest n' <= n + 5 whose clipped limit is the same t, so a run over
     consecutive n builds them once per band of the `_small_cycle_limit`
@@ -733,15 +761,16 @@ def _cycle_tables(n: int, t: int) -> _Tables:
     if tables is None or len(tables[0]) <= n:
         _TABLE_SLOT.clear()
         top = max(k for k in range(n, n + 6) if min(_small_cycle_limit(k), k) == t)
-        tables = _TABLE_SLOT[t] = (
+        tables = _TABLE_SLOT[t] = [
             _small_cycle_table(top, t),
             _long_cycle_table(top, t),
-        )
+            None,
+        ]
     return tables
 
 
-def _merge_groups(n: int, counts: dict[int, int], floor: int) -> None:
-    """Add to ``counts`` the orders of every h group whose mass is ``floor`` or more.
+def _merge_groups(n: int, counts: dict[int, int]) -> None:
+    """Add to ``counts`` the number of permutations of [n] of each order.
 
     Meet in the middle.  A permutation of [n] splits into s labels in
     cycles whose lengths do not divide L = lcm(1..t) and n - s labels in
@@ -749,47 +778,15 @@ def _merge_groups(n: int, counts: dict[int, int], floor: int) -> None:
     row s for the first and small-table row n - s for the second, of
     order lcm(g * h, l).  Every such l divides L and g = gcd(g * h, L),
     so lcm(g * h, l) = h * lcm(g, l): row n - s is collapsed under
-    l -> lcm(g, l) once per g, with additions only, and each h's ways
-    are spread over it, one product per (h, y) cell.
-
-    The order m alone fixes h = m // gcd(m, L), so the orders fall into
-    disjoint groups, one per h.  A group's mass, the sum over its
-    long-table entries of C(n, s) * w * R(n - s) with R(r) the total of
-    small-table row r, is the sum of its orders' counts, so no order of a
-    group with mass below ``floor`` counts ``floor`` or more.  For a
-    positive floor the masses are summed, must sum to n! (or RuntimeError
-    is raised), and the long-table entries of the groups below the floor
-    are dropped before the merge; floor 0 merges the tables as they are.
+    l -> lcm(g, l) once per (s, g) and each h's ways are spread over it,
+    one product per (h, y) cell.
     """
     t = min(_small_cycle_limit(n), n)
-    small, long = _cycle_tables(n, t)
+    small, long, _ = _cycle_tables(n, t)
     lcm = math.lcm
-    comb = math.comb
-    if floor > 0:
-        mass: dict[int, int] = {}
-        for s in range(n + 1):
-            b = comb(n, s) * sum(small[n - s].values())
-            for hw in long[s].values():
-                pairs = iter(hw)
-                for h, w in zip(pairs, pairs):
-                    mass[h] = mass.get(h, 0) + b * w
-        if sum(mass.values()) != math.factorial(n):
-            raise RuntimeError(
-                f"internal inconsistency at n={n}: the group masses do not sum to n!"
-            )
-        kept_rows = []
-        for by_g in long[: n + 1]:
-            kept_row = {}
-            for g, hw in by_g.items():
-                pairs = iter(hw)
-                kept = [pair for pair in zip(pairs, pairs) if mass[pair[0]] >= floor]
-                if kept:
-                    kept_row[g] = tuple(itertools.chain.from_iterable(kept))
-            kept_rows.append(kept_row)
-        long = kept_rows
     for s in range(n + 1):
         row = small[n - s]
-        b = comb(n, s)
+        b = math.comb(n, s)
         for g, hw in long[s].items():
             col: dict[int, int] = {}
             for ell, c in row.items():
@@ -802,12 +799,67 @@ def _merge_groups(n: int, counts: dict[int, int], floor: int) -> None:
                     counts[h * y] += w * c
 
 
+def _heavy_groups(
+    n: int, groups: _Groups, totals: list[int], floor: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(h, cells) for each h group whose mass on [n] is ``floor`` or more.
+
+    The order m alone fixes h = m // gcd(m, L), so the orders fall into
+    disjoint groups, one per h.  A group's mass, the sum over s <= n of
+    C(n, s) * R(n - s) * total_h(s) with R(r) the total of small-table
+    row r, is the sum of its orders' counts, so no order of a group with
+    mass below ``floor`` counts ``floor`` or more.  The masses must sum
+    to n!, or RuntimeError is raised.
+    """
+    weights = [math.comb(n, s) * totals[n - s] for s in range(n + 1)]
+    heavy = []
+    whole = 0
+    for h, (cells, sums) in groups.items():
+        mass = 0
+        pairs = iter(sums)
+        for s, w in zip(pairs, pairs):
+            if s > n:
+                break
+            mass += weights[s] * w
+        whole += mass
+        if mass >= floor:
+            heavy.append((h, cells))
+    if whole != math.factorial(n):
+        raise RuntimeError(
+            f"internal inconsistency at n={n}: the group masses do not sum to n!"
+        )
+    return heavy
+
+
+def _group_orders(
+    n: int, small: list[dict[int, int]], cells: tuple[int, ...]
+) -> dict[int, int]:
+    """y -> permutations of [n] of order h * y, for the h group with these cells.
+
+    The merge of `_merge_groups` for one h: each (s, g, w) entry with s <= n
+    adds C(n, s) * w * c to y = lcm(g, l) for each (l, c) in small-table
+    row n - s.  With one h per (s, g) there is no spread to share, so the
+    row is not collapsed first: that would cost a pass more.
+    """
+    lcm = math.lcm
+    orders: dict[int, int] = {}
+    it = iter(cells)
+    for s, g, w in zip(it, it, it):
+        if s > n:
+            break
+        w *= math.comb(n, s)
+        for ell, c in small[n - s].items():
+            y = lcm(g, ell)
+            orders[y] = orders.get(y, 0) + w * c
+    return orders
+
+
 # Keyed on the support budget as well, like `_support_values`.
 @lru_cache(maxsize=1)
 def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
     entries = dict.fromkeys(_support_values(n, max_support), 0)
     try:
-        _merge_groups(n, entries, 0)
+        _merge_groups(n, entries)
     except KeyError as exc:
         raise RuntimeError(
             f"internal inconsistency at n={n}: order {exc.args[0]} is not in support({n})"
@@ -820,7 +872,9 @@ def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
         )
     if sum(entries.values()) != math.factorial(n):
         raise RuntimeError(f"internal inconsistency at n={n}: the counts do not sum to n!")
-    return tuple(sorted(entries.items()))
+    # Ascending already: the keys are the sorted support, and the merge
+    # only adds to their values.
+    return tuple(entries.items())
 
 
 def full_pmf(n: int) -> OrderPmf:
@@ -846,8 +900,10 @@ def mode(n: int) -> ModeResult:
 
     T = count(n - k0), with k0 the largest forcing offset, is counted by
     `_count_order`, the route of `p_exact`.  The most likely orders count
-    T or more, so `_merge_groups` merges only the h groups whose mass
-    reaches T, and no pmf or support is held.  Checks, each raising
+    T or more, so only the h groups whose mass reaches T
+    (`_heavy_groups`) are merged, one at a time (`_group_orders`), into a
+    running argmax that keeps every tie.  No pmf or support is held, and
+    no more than one group's orders.  Checks, each raising
     RuntimeError: the group masses sum to n!; the merged count of n - k0
     equals T, two independent routes agreeing; every argmax is an
     achievable order, its prime powers dividing out over the primes <= n
@@ -863,22 +919,40 @@ def mode(n: int) -> ModeResult:
     expected = n - compute_forcing_set(n).max_k
     factors, _ = _trial_factors(expected, n)
     target = _count_order(n, FactoredInt(expected, tuple(factors)), f_n)
-    counts: dict[int, int] = defaultdict(int)
-    _merge_groups(n, counts, target)
-    if counts[expected] != target:
+    t = min(_small_cycle_limit(n), n)
+    h_expected = expected // math.gcd(expected, lcm_range(t))
+    tables = _cycle_tables(n, t)
+    if tables[2] is None:
+        tables[2] = _group_index(tables[0], tables[1])
+    small = tables[0]
+    groups, totals = tables[2]
+    best = merged = 0
+    argmax: list[int] = []
+    for h, cells in _heavy_groups(n, groups, totals, target):
+        orders = _group_orders(n, small, cells)
+        if h == h_expected:
+            merged = orders.get(expected // h, 0)
+        top = max(orders.values())
+        if top >= best:
+            if top > best:
+                best = top
+                argmax = []
+            argmax.extend(h * y for y, c in orders.items() if c == top)
+    if merged != target:
         raise RuntimeError(
-            f"internal inconsistency at n={n}: the merge counts {counts[expected]} "
+            f"internal inconsistency at n={n}: the merge counts {merged} "
             f"permutations of order {expected}, the point count {target}"
         )
-    best = max(counts.values())
-    argmax = tuple(sorted(m for m, c in counts.items() if c == best))
+    argmax.sort()
     for m in argmax:
         factors, rem = _trial_factors(m, n)
         if rem > 1 or sum(p**e for p, e in factors) > n:
             raise RuntimeError(
                 f"internal inconsistency at n={n}: argmax {m} is not an achievable order"
             )
-    return ModeResult(n=n, argmax=argmax, max_count=best, max_prob=Fraction(best, f_n))
+    return ModeResult(
+        n=n, argmax=tuple(argmax), max_count=best, max_prob=Fraction(best, f_n)
+    )
 
 
 def collision_norm(n: int) -> Fraction:

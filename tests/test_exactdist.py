@@ -7,7 +7,6 @@ engine was implemented; the oracles never share code with the engine.
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 import itertools
@@ -571,6 +570,12 @@ class TestGroupedMergeAndTableSlot:
         digest = hashlib.sha256(repr(sorted(entries.items())).encode()).hexdigest()
         assert digest == FULL_PMF_DIGESTS[n]
 
+    def test_entries_ascending(self):
+        # `_full_counts` and the pmf subcommand rely on this order unsorted.
+        for n in range(1, 61):
+            orders = list(full_pmf(n).entries)
+            assert orders == sorted(orders)
+
     @pytest.mark.parametrize("ascending", [True, False])
     def test_kept_tables_in_any_order(self, cold_slot, ascending):
         ns = range(1, 101) if ascending else range(100, 0, -1)
@@ -596,9 +601,16 @@ class TestGroupedMergeAndTableSlot:
         full_pmf(48)
         assert table_builds == {"small": [(47, 7), (53, 8)], "long": [(47, 7), (53, 8)]}
         assert list(exactdist._TABLE_SLOT) == [8]
-        small, long = exactdist._TABLE_SLOT[8]
+        small, long, index = exactdist._TABLE_SLOT[8]
         assert len(small) == len(long) == 54
         assert small is not old[0] and long is not old[1]
+        # full_pmf reads no index by h; mode builds it once for the band.
+        assert index is None
+        mode(48)
+        groups, totals = exactdist._TABLE_SLOT[8][2]
+        assert len(totals) == 54
+        mode(50)
+        assert exactdist._TABLE_SLOT[8][2][0] is groups
         full_pmf(47)
         assert table_builds == {
             "small": [(47, 7), (53, 8), (47, 7)],
@@ -768,9 +780,10 @@ class TestMode:
 
     @pytest.mark.parametrize("n", [12, 20, 37, 60])
     def test_group_at_the_floor_is_kept(self, n):
-        # Group orders by h = m // gcd(m, L) from the pmf itself, and merge
+        # Group orders by h = m // gcd(m, L) from the pmf itself, and select
         # with the floor set to one group's mass exactly.
-        big_l = numtheory.lcm_range(min(exactdist._small_cycle_limit(n), n))
+        t = min(exactdist._small_cycle_limit(n), n)
+        big_l = numtheory.lcm_range(t)
         pmf = full_pmf(n).entries
         mass: dict[int, int] = {}
         for m, c in pmf.items():
@@ -779,9 +792,31 @@ class TestMode:
         floor = sorted(set(mass.values()))[len(set(mass.values())) // 2]
         kept = {h for h, c in mass.items() if c >= floor}
         assert floor in (mass[h] for h in kept) and len(kept) < len(mass)
-        counts: dict[int, int] = collections.defaultdict(int)
-        exactdist._merge_groups(n, counts, floor)
+        small, long, _ = exactdist._cycle_tables(n, t)
+        groups, totals = exactdist._group_index(small, long)
+        heavy = exactdist._heavy_groups(n, groups, totals, floor)
+        assert {h for h, _ in heavy} == kept
+        counts = {
+            h * y: c
+            for h, cells in heavy
+            for y, c in exactdist._group_orders(n, small, cells).items()
+        }
         assert counts == {m: c for m, c in pmf.items() if m // math.gcd(m, big_l) in kept}
+
+    def test_tie_across_groups(self, monkeypatch):
+        # Hand-made tables for n = 5 (t = 3, L = 6, n - k0 = 4): the group
+        # h = 1 holds orders 1, 2, 3 and 6 from small-table row 5, the group
+        # h = 2 holds order 4 = 2 * lcm(2, 1) from one long entry at s = 4.
+        # Orders 6 and 4 both count 30, and the h = 2 group's mass is 30,
+        # exactly the point count of order 4.
+        small = [{1: 1}, {1: 1}, {}, {}, {}, {1: 20, 2: 20, 3: 20, 6: 30}]
+        long = [{1: (1, 1)}, {}, {}, {}, {2: (2, 6)}, {}]
+        tables = [small, long, None]
+        monkeypatch.setattr(exactdist, "_cycle_tables", lambda n, t: tables)
+        res = mode(5)
+        assert res.argmax == (4, 6)
+        assert res.max_count == 30
+        assert res.max_prob == Fraction(1, 4)
 
     def test_mode_at_least_point_prob_at_n(self):
         for n in range(2, 31):
