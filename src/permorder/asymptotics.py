@@ -173,7 +173,7 @@ def verify_near_max_form(n: int) -> VerificationReport:
     pmf = full_pmf(n)
     fact = math.factorial(n)
     members = set(compute_forcing_set(n).members)
-    qualifying = sorted(m for m, c in pmf.entries.items() if n * c >= fact)
+    qualifying = [m for m, c in pmf.entries.items() if n * c >= fact]
     witnesses = tuple(m for m in qualifying if n - m not in members)
     return VerificationReport(
         n=n,

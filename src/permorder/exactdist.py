@@ -20,21 +20,22 @@ its cycles carry every one of them.
 The full pmf splits the cycle lengths by whether they divide
 L = lcm(1..t).  `_small_cycle_table` runs the recurrence over every
 divisor of L, with the divisors of L as cycle lengths, for every label
-count up to n, and inverts whole columns (`DivisorLattice.mobius_steps`).  `_long_cycle_table` walks the
-partitions into the other lengths once and sums, for each label count
-s, the permutations of [s] by (g, h) with g = gcd(order, L) and
-h = order // g.  The full pmf (`full_pmf`) merges the two: every order
-l in the small table divides L, so lcm(g * h, l) = h * lcm(g, l), and
-for each s small-table row n - s is collapsed once per g and spread
-over the h's, weighted by C(n, s).  The rows of both tables do not
-depend on n, so the last pair built is kept in a one-entry slot and
-serves every n with the same t that it has rows for.  `mode` holds no
-pmf: the order m fixes h = m // gcd(m, L), so the orders fall into
-disjoint h groups.  Its first call on a pair adds to the slot an index
-of the long table's entries by h.  It sums each group's mass from the
-index, then merges the groups whose mass reaches the `_count_order`
-count of n - k0 (k0 the largest forcing offset) one at a time, holding
-one group's orders and a running argmax.
+count up to n, and inverts whole columns
+(`DivisorLattice.mobius_steps`).  `_long_cycle_table` walks the
+partitions into the other lengths once and sums the permutations of
+[s], for each label count s, by (g, h) with g = gcd(order, L) and
+h = order // g.  The order m alone fixes h = m // gcd(m, L), so the
+table is kept by h: the orders fall into disjoint h groups.  Every
+order l in the small table divides L, so lcm(g * h, l) = h * lcm(g, l),
+and one kernel (`_group_orders`) merges a group: each of its cells
+(s, g, w) spreads small-table row n - s under l -> h * lcm(g, l),
+weighted by C(n, s) * w.  `full_pmf` merges every group into one dict
+over the support.  `mode` holds no pmf: it merges, each into a dict of
+its own, only the groups whose mass reaches the `_count_order` count
+of n - k0 (k0 the largest forcing offset), and keeps a running
+argmax.  The rows of both tables do not depend on n, so the last pair
+built is kept in a one-entry slot and serves every n with the same t
+that it has rows for.
 `order_counts_on_lattice` gives the counts of every divisor of m at
 once; no code in this package calls it, and it stays as a reference for
 the tests.
@@ -671,19 +672,19 @@ def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
     return rows
 
 
-def _long_cycle_table(n: int, t: int) -> list[dict[int, tuple[int, ...]]]:
+def _long_cycle_table(n: int, t: int) -> dict[int, tuple[int, ...]]:
     """Permutations of [s] with no cycle length dividing lcm(1..t), by order, for s <= n.
 
-    Row s maps g to the flat tuple (h, c, h', c', ...): c permutations
-    have order g * h, with g = gcd(order, lcm(1..t)) and h = order // g.
-    One walk over the lengths j <= n that do not divide lcm(1..t), all
-    longer than t, as partitions of at most n labels by descending part
-    size, fills every row: a node that uses s labels with multiplicities
-    c_j holds s!/prod(j^c_j * c_j!) permutations.
+    Maps h to the flat tuple (s, g, c, s', g', c', ...), ascending in s:
+    c permutations of [s] have order g * h, with g = gcd(order, lcm(1..t))
+    and h = order // g.  One walk over the lengths j <= n that do not
+    divide lcm(1..t), all longer than t, as partitions of at most n labels
+    by descending part size, fills every group: a node that uses s labels
+    with multiplicities c_j holds s!/prod(j^c_j * c_j!) permutations.
     """
     big_l = lcm_range(t)
     facts = [math.factorial(s) for s in range(n + 1)]
-    rows: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n + 1)]
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
     lcm = math.lcm
     gcd = math.gcd
     # The walked lengths, descending, and for each number of free labels
@@ -707,117 +708,71 @@ def _long_cycle_table(n: int, t: int) -> list[dict[int, tuple[int, ...]]]:
                 c += 1
                 weight *= j * c
                 stack.append((s + j * c, i + 1, weight, vj))
-    # The table is kept for a whole band, and a flat tuple per g takes less
-    # than half the memory of the dict that summed it.
-    chain = itertools.chain.from_iterable
-    return [{g: tuple(chain(by_h.items())) for g, by_h in row.items()} for row in rows]
+    # The table is kept for a whole band, so it is held as one flat tuple
+    # per h, not as the dicts that summed it.
+    groups: dict[int, list[int]] = {}
+    for s, row in enumerate(rows):
+        for g, by_h in row.items():
+            for h, c in by_h.items():
+                groups.setdefault(h, []).extend((s, g, c))
+    return {h: tuple(cells) for h, cells in groups.items()}
 
 
-# The last tables built, under their clipped limit t, as the list [small-cycle
-# table, long-cycle table, index by h]: the index (`_group_index`) is None
-# until `mode` first asks for it, since `full_pmf` never reads it.  Row r of
-# either table depends on t alone, not on the n it was built for, so one
-# entry serves every n whose clipped t matches and whose rows it holds.  At
-# most one entry is alive: the slot is emptied before the next build.
-_Groups = dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
-_TABLE_SLOT: dict[int, list] = {}
+# The last tables built, under their clipped limit t, as the tuple (small-cycle
+# table, long-cycle table, small-table row totals).  Row r of the small table
+# and the long table's cells for s labels depend on t alone, not on the n
+# they were built for, so one entry serves every n whose clipped t matches
+# and whose rows it holds.  At most one entry is alive: the slot is emptied
+# before the next build.
+_TABLE_SLOT: dict[int, tuple] = {}
 
 
-def _group_index(
-    small: list[dict[int, int]], long: list[dict[int, tuple[int, ...]]]
-) -> tuple[_Groups, list[int]]:
-    """The long table's entries grouped by h, and the small table's row totals.
-
-    The index maps h to the flat tuples (s, g, w, s', g', w', ...) of its
-    long-table entries and (s, total, s', total', ...) of their sums over g,
-    both by ascending s.  The totals list holds R(r), the total of
-    small-table row r.
-    """
-    cells: dict[int, list[int]] = {}
-    sums: dict[int, dict[int, int]] = {}
-    for s, row in enumerate(long):
-        for g, hw in row.items():
-            pairs = iter(hw)
-            for h, w in zip(pairs, pairs):
-                cells.setdefault(h, []).extend((s, g, w))
-                by_s = sums.setdefault(h, {})
-                # A lone entry's total is its count itself, not a copy.
-                by_s[s] = by_s[s] + w if s in by_s else w
-    chain = itertools.chain.from_iterable
-    groups = {h: (tuple(c), tuple(chain(sums[h].items()))) for h, c in cells.items()}
-    return groups, [sum(row.values()) for row in small]
-
-
-def _cycle_tables(n: int, t: int) -> list:
+def _cycle_tables(n: int, t: int) -> tuple:
     """The slot entry holding rows 0..n (or more) of both tables.
 
-    That is [`_small_cycle_table`, `_long_cycle_table`, index or None].
-    t is the limit clipped to n.  A miss builds both tables up to the
-    largest n' <= n + 5 whose clipped limit is the same t, so a run over
-    consecutive n builds them once per band of the `_small_cycle_limit`
-    rule, in either direction.
+    That is (`_small_cycle_table`, `_long_cycle_table`, R) with R(r) the
+    total of small-table row r.  t is the limit clipped to n.  A miss
+    builds both tables up to the largest n' <= n + 5 whose clipped limit
+    is the same t, so a run over consecutive n builds them once per band
+    of the `_small_cycle_limit` rule, in either direction.
     """
     tables = _TABLE_SLOT.get(t)
     if tables is None or len(tables[0]) <= n:
         _TABLE_SLOT.clear()
         top = max(k for k in range(n, n + 6) if min(_small_cycle_limit(k), k) == t)
-        tables = _TABLE_SLOT[t] = [
-            _small_cycle_table(top, t),
+        small = _small_cycle_table(top, t)
+        tables = _TABLE_SLOT[t] = (
+            small,
             _long_cycle_table(top, t),
-            None,
-        ]
+            [sum(row.values()) for row in small],
+        )
     return tables
 
 
-def _merge_groups(n: int, counts: dict[int, int]) -> None:
-    """Add to ``counts`` the number of permutations of [n] of each order.
-
-    Meet in the middle.  A permutation of [n] splits into s labels in
-    cycles whose lengths do not divide L = lcm(1..t) and n - s labels in
-    cycles whose lengths do: C(n, s) ways to choose the labels, long-table
-    row s for the first and small-table row n - s for the second, of
-    order lcm(g * h, l).  Every such l divides L and g = gcd(g * h, L),
-    so lcm(g * h, l) = h * lcm(g, l): row n - s is collapsed under
-    l -> lcm(g, l) once per (s, g) and each h's ways are spread over it,
-    one product per (h, y) cell.
-    """
-    t = min(_small_cycle_limit(n), n)
-    small, long, _ = _cycle_tables(n, t)
-    lcm = math.lcm
-    for s in range(n + 1):
-        row = small[n - s]
-        b = math.comb(n, s)
-        for g, hw in long[s].items():
-            col: dict[int, int] = {}
-            for ell, c in row.items():
-                y = lcm(g, ell)
-                col[y] = col.get(y, 0) + c
-            pairs = iter(hw)
-            for h, w in zip(pairs, pairs):
-                w *= b
-                for y, c in col.items():
-                    counts[h * y] += w * c
-
-
 def _heavy_groups(
-    n: int, groups: _Groups, totals: list[int], floor: int
+    n: int,
+    groups: dict[int, tuple[int, ...]],
+    totals: list[int],
+    binom: list[int],
+    floor: int,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """(h, cells) for each h group whose mass on [n] is ``floor`` or more.
 
     The order m alone fixes h = m // gcd(m, L), so the orders fall into
-    disjoint groups, one per h.  A group's mass, the sum over s <= n of
-    C(n, s) * R(n - s) * total_h(s) with R(r) the total of small-table
-    row r, is the sum of its orders' counts, so no order of a group with
-    mass below ``floor`` counts ``floor`` or more.  The masses must sum
-    to n!, or RuntimeError is raised.
+    disjoint groups, one per h.  A group's mass, the sum over its cells
+    (s, g, w) with s <= n of C(n, s) * R(n - s) * w, with R(r) the total
+    of small-table row r and C(n, s) = binom[s], is the sum of its orders'
+    counts, so no order of a group with mass below ``floor`` counts
+    ``floor`` or more.  The masses must sum to n!, or RuntimeError is
+    raised.
     """
-    weights = [math.comb(n, s) * totals[n - s] for s in range(n + 1)]
+    weights = [b * totals[n - s] for s, b in enumerate(binom)]
     heavy = []
     whole = 0
-    for h, (cells, sums) in groups.items():
+    for h, cells in groups.items():
         mass = 0
-        pairs = iter(sums)
-        for s, w in zip(pairs, pairs):
+        it = iter(cells)
+        for s, _, w in zip(it, it, it):
             if s > n:
                 break
             mass += weights[s] * w
@@ -832,38 +787,52 @@ def _heavy_groups(
 
 
 def _group_orders(
-    n: int, small: list[dict[int, int]], cells: tuple[int, ...]
-) -> dict[int, int]:
-    """y -> permutations of [n] of order h * y, for the h group with these cells.
+    n: int,
+    small: list[dict[int, int]],
+    binom: list[int],
+    h: int,
+    cells: tuple[int, ...],
+    out: dict[int, int],
+) -> None:
+    """Add to ``out`` the permutations of [n] of each order in h's group.
 
-    The merge of `_merge_groups` for one h: each (s, g, w) entry with s <= n
-    adds C(n, s) * w * c to y = lcm(g, l) for each (l, c) in small-table
-    row n - s.  With one h per (s, g) there is no spread to share, so the
-    row is not collapsed first: that would cost a pass more.
+    Meet in the middle.  A permutation of [n] splits into s labels in
+    cycles whose lengths do not divide L = lcm(1..t) and n - s labels in
+    cycles whose lengths do: C(n, s) = binom[s] ways to choose the labels,
+    a long-table cell (s, g, w) for the first and small-table row n - s
+    for the second, of order lcm(g * h, l).  Every such l divides L and
+    g = gcd(g * h, L), so lcm(g * h, l) = h * lcm(g, l): each cell with
+    s <= n adds C(n, s) * w * c to order h * lcm(g, l) for each (l, c) in
+    row n - s.  The cells ascend in s, so the first with s > n ends the
+    group.
     """
     lcm = math.lcm
-    orders: dict[int, int] = {}
+    get = out.get
     it = iter(cells)
     for s, g, w in zip(it, it, it):
         if s > n:
             break
-        w *= math.comb(n, s)
+        w *= binom[s]
         for ell, c in small[n - s].items():
-            y = lcm(g, ell)
-            orders[y] = orders.get(y, 0) + w * c
-    return orders
+            m = h * lcm(g, ell)
+            out[m] = get(m, 0) + w * c
 
 
 # Keyed on the support budget as well, like `_support_values`.
 @lru_cache(maxsize=1)
 def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
     entries = dict.fromkeys(_support_values(n, max_support), 0)
-    try:
-        _merge_groups(n, entries)
-    except KeyError as exc:
+    size = len(entries)
+    small, groups, _ = _cycle_tables(n, min(_small_cycle_limit(n), n))
+    binom = [math.comb(n, s) for s in range(n + 1)]
+    for h, cells in groups.items():
+        _group_orders(n, small, binom, h, cells, entries)
+    if len(entries) != size:
+        # The merge adds any order it makes that the support lacks at the end.
+        extra = next(itertools.islice(entries, size, None))
         raise RuntimeError(
-            f"internal inconsistency at n={n}: order {exc.args[0]} is not in support({n})"
-        ) from None
+            f"internal inconsistency at n={n}: order {extra} is not in support({n})"
+        )
     missing = [m for m, c in entries.items() if c == 0]
     if missing:
         raise RuntimeError(
@@ -880,13 +849,14 @@ def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
 def full_pmf(n: int) -> OrderPmf:
     """The complete exact pmf of the order, as counts out of n!.
 
-    Computed by merging the small- and long-cycle tables of
-    `_small_cycle_table` and `_long_cycle_table`; the small table and the
-    point counts share one divide-count route.  The counts must sum to n!
-    and the nonzero keys must equal support(n), which checks the whole
-    result: a product outside support(n), a zero count or a wrong total
-    raises RuntimeError.  An n above DEFAULT_MAX_N, or a support larger
-    than DEFAULT_MAX_SUPPORT, raises `BudgetExceededError`.
+    Every h group of the long-cycle table is merged with the small-cycle
+    table (`_group_orders`) into one dict seeded with support(n); the
+    small table and the point counts share one divide-count route.  The
+    counts must sum to n! and the nonzero keys must equal support(n),
+    which checks the whole result: a product outside support(n), a zero
+    count or a wrong total raises RuntimeError.  The entries ascend in
+    m.  An n above DEFAULT_MAX_N, or a support larger than
+    DEFAULT_MAX_SUPPORT, raises `BudgetExceededError`.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -901,15 +871,15 @@ def mode(n: int) -> ModeResult:
     T = count(n - k0), with k0 the largest forcing offset, is counted by
     `_count_order`, the route of `p_exact`.  The most likely orders count
     T or more, so only the h groups whose mass reaches T
-    (`_heavy_groups`) are merged, one at a time (`_group_orders`), into a
-    running argmax that keeps every tie.  No pmf or support is held, and
-    no more than one group's orders.  Checks, each raising
-    RuntimeError: the group masses sum to n!; the merged count of n - k0
-    equals T, two independent routes agreeing; every argmax is an
-    achievable order, its prime powers dividing out over the primes <= n
-    and summing to at most n.  An n above DEFAULT_MAX_N raises
-    `BudgetExceededError` before any work is done; DEFAULT_MAX_SUPPORT
-    does not apply.
+    (`_heavy_groups`) are merged, each into a dict of its own by the
+    kernel of `full_pmf` (`_group_orders`), and read into a running
+    argmax that keeps every tie.  No pmf or support is held, and no more
+    than one group's orders.  Checks, each raising RuntimeError: the
+    group masses sum to n!; the merged count of n - k0 equals T, two
+    independent routes agreeing; every argmax is an achievable order, its
+    prime powers dividing out over the primes <= n and summing to at most
+    n.  An n above DEFAULT_MAX_N raises `BudgetExceededError` before any
+    work is done; DEFAULT_MAX_SUPPORT does not apply.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -921,23 +891,21 @@ def mode(n: int) -> ModeResult:
     target = _count_order(n, FactoredInt(expected, tuple(factors)), f_n)
     t = min(_small_cycle_limit(n), n)
     h_expected = expected // math.gcd(expected, lcm_range(t))
-    tables = _cycle_tables(n, t)
-    if tables[2] is None:
-        tables[2] = _group_index(tables[0], tables[1])
-    small = tables[0]
-    groups, totals = tables[2]
+    small, groups, totals = _cycle_tables(n, t)
+    binom = [math.comb(n, s) for s in range(n + 1)]
     best = merged = 0
     argmax: list[int] = []
-    for h, cells in _heavy_groups(n, groups, totals, target):
-        orders = _group_orders(n, small, cells)
+    for h, cells in _heavy_groups(n, groups, totals, binom, target):
+        orders: dict[int, int] = {}
+        _group_orders(n, small, binom, h, cells, orders)
         if h == h_expected:
-            merged = orders.get(expected // h, 0)
+            merged = orders.get(expected, 0)
         top = max(orders.values())
         if top >= best:
             if top > best:
                 best = top
                 argmax = []
-            argmax.extend(h * y for y, c in orders.items() if c == top)
+            argmax.extend(m for m, c in orders.items() if c == top)
     if merged != target:
         raise RuntimeError(
             f"internal inconsistency at n={n}: the merge counts {merged} "
@@ -982,7 +950,7 @@ def tail_max(n: int, eps: Fraction | int | str) -> tuple[int, Fraction] | None:
             f"cutoff n**(p+q) of up to {bits} bits exceeds TAIL_MAX_BITS={TAIL_MAX_BITS}"
         )
     entries = full_pmf(n).entries
-    orders = sorted(entries)
+    orders = list(entries)
     cutoff = n ** (p + q)
     start = bisect.bisect_left(orders, True, key=lambda m: m**q >= cutoff)
     if start == len(orders):

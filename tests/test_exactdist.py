@@ -601,16 +601,15 @@ class TestGroupedMergeAndTableSlot:
         full_pmf(48)
         assert table_builds == {"small": [(47, 7), (53, 8)], "long": [(47, 7), (53, 8)]}
         assert list(exactdist._TABLE_SLOT) == [8]
-        small, long, index = exactdist._TABLE_SLOT[8]
-        assert len(small) == len(long) == 54
-        assert small is not old[0] and long is not old[1]
-        # full_pmf reads no index by h; mode builds it once for the band.
-        assert index is None
+        entry = exactdist._TABLE_SLOT[8]
+        small, groups, totals = entry
+        assert len(small) == len(totals) == 54
+        assert max(cells[-3] for cells in groups.values()) == 53
+        assert small is not old[0] and groups is not old[1]
+        # full_pmf and mode read one entry, built whole, for the band.
         mode(48)
-        groups, totals = exactdist._TABLE_SLOT[8][2]
-        assert len(totals) == 54
         mode(50)
-        assert exactdist._TABLE_SLOT[8][2][0] is groups
+        assert exactdist._TABLE_SLOT[8] is entry
         full_pmf(47)
         assert table_builds == {
             "small": [(47, 7), (53, 8), (47, 7)],
@@ -626,21 +625,28 @@ class TestGroupedMergeAndTableSlot:
         assert table_builds["small"][-2] == table_builds["long"][-2] == (35, 4)
 
     def test_long_table_rows_match_partition_oracle(self):
-        # Row s holds the partitions of s with no part dividing lcm(1..t).
+        # The cells for s labels hold the partitions of s with no part
+        # dividing lcm(1..t), by h and then by (s, g).
         for t in range(0, 8):
             big_l = numtheory.lcm_range(t)
             table = exactdist._long_cycle_table(14, t)
-            assert len(table) == 15
+            expected: dict[int, dict[tuple[int, int], int]] = {}
             for s in range(15):
-                expected: dict[int, dict[int, int]] = {}
                 for parts in helpers.partitions(s):
                     if any(big_l % j == 0 for j in parts):
                         continue
                     ell = helpers.lcm_of(parts)
                     g = math.gcd(ell, big_l)
-                    by_h = expected.setdefault(g, {})
-                    by_h[ell // g] = by_h.get(ell // g, 0) + helpers.cycle_type_count(s, parts)
-                assert {g: dict(zip(hw[::2], hw[1::2])) for g, hw in table[s].items()} == expected
+                    by_sg = expected.setdefault(ell // g, {})
+                    by_sg[s, g] = by_sg.get((s, g), 0) + helpers.cycle_type_count(s, parts)
+            got = {}
+            for h, cells in table.items():
+                ss, gs, ws = cells[::3], cells[1::3], cells[2::3]
+                # `_group_orders` stops at the first cell with s > n.
+                assert list(ss) == sorted(ss)
+                assert len(set(zip(ss, gs))) == len(ss)
+                got[h] = dict(zip(zip(ss, gs), ws))
+            assert got == expected
 
     def test_counts_off_n_factorial_raise(self, cold_slot, monkeypatch):
         real = exactdist._small_cycle_table
@@ -792,15 +798,13 @@ class TestMode:
         floor = sorted(set(mass.values()))[len(set(mass.values())) // 2]
         kept = {h for h, c in mass.items() if c >= floor}
         assert floor in (mass[h] for h in kept) and len(kept) < len(mass)
-        small, long, _ = exactdist._cycle_tables(n, t)
-        groups, totals = exactdist._group_index(small, long)
-        heavy = exactdist._heavy_groups(n, groups, totals, floor)
+        small, groups, totals = exactdist._cycle_tables(n, t)
+        binom = [math.comb(n, s) for s in range(n + 1)]
+        heavy = exactdist._heavy_groups(n, groups, totals, binom, floor)
         assert {h for h, _ in heavy} == kept
-        counts = {
-            h * y: c
-            for h, cells in heavy
-            for y, c in exactdist._group_orders(n, small, cells).items()
-        }
+        counts: dict[int, int] = {}
+        for h, cells in heavy:
+            exactdist._group_orders(n, small, binom, h, cells, counts)
         assert counts == {m: c for m, c in pmf.items() if m // math.gcd(m, big_l) in kept}
 
     def test_tie_across_groups(self, monkeypatch):
@@ -810,8 +814,8 @@ class TestMode:
         # Orders 6 and 4 both count 30, and the h = 2 group's mass is 30,
         # exactly the point count of order 4.
         small = [{1: 1}, {1: 1}, {}, {}, {}, {1: 20, 2: 20, 3: 20, 6: 30}]
-        long = [{1: (1, 1)}, {}, {}, {}, {2: (2, 6)}, {}]
-        tables = [small, long, None]
+        groups = {1: (0, 1, 1), 2: (4, 2, 6)}
+        tables = (small, groups, [sum(row.values()) for row in small])
         monkeypatch.setattr(exactdist, "_cycle_tables", lambda n, t: tables)
         res = mode(5)
         assert res.argmax == (4, 6)
