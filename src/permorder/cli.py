@@ -50,6 +50,7 @@ from .asymptotics import (
     verify_near_max_form,
 )
 from .exactdist import (
+    BRUTE_FORCE_LIMIT,
     BudgetExceededError,
     brute_force_joint,
     collision_norm,
@@ -74,7 +75,6 @@ EXIT_COUNTEREXAMPLES = 3
 
 _FORMATS = ("table", "csv", "json")
 _ENV_CACHE = "PERMORDER_CACHE_DIR"
-_BOUNDS_MAX_N = 9  # the joint (cycles, order) oracle enumerates permutations
 
 
 class _UsageError(ValueError):
@@ -405,9 +405,9 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
 
 
 def _cmd_bounds_check(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
-    if args.n[-1] > _BOUNDS_MAX_N:
+    if args.n[-1] > BRUTE_FORCE_LIMIT:
         raise ValueError(
-            f"bounds-check enumerates all permutations; n must be <= {_BOUNDS_MAX_N}"
+            f"bounds-check enumerates all permutations; n must be <= {BRUTE_FORCE_LIMIT}"
         )
     rows = [_bounds_row(n) for n in args.n]
     code = EXIT_OK if all(r["violations"] == 0 for r in rows) else EXIT_COUNTEREXAMPLES

@@ -35,7 +35,9 @@ its own, only the groups whose mass reaches the `_count_order` count
 of n - k0 (k0 the largest forcing offset), and keeps a running
 argmax.  The rows of both tables do not depend on n, so the last pair
 built is kept in a one-entry slot and serves every n with the same t
-that it has rows for.
+that it has rows for.  That slot and a one-entry cache of the last pmf
+(`_full_counts`, which `full_pmf` copies out) are the only state kept
+between calls.
 `order_counts_on_lattice` gives the counts of every divisor of m at
 once; no code in this package calls it, and it stays as a reference for
 the tests.
@@ -564,24 +566,28 @@ def p_exact(n: int, m: int) -> Fraction:
         raise ValueError(f"need m >= 1, got {m}")
     if n > P_EXACT_MAX_N:
         raise BudgetExceededError(f"n={n} exceeds P_EXACT_MAX_N={P_EXACT_MAX_N}")
-    # m is an achievable order iff its maximal prime powers fit into [n]
-    # as disjoint cycles; everything else can be padded with fixed points.
-    # So only primes <= n are divided out: a cofactor left over, or a
-    # prime factor > n, rules m out without factorizing it further.
-    factors, rem = _trial_factors(m, n)
-    if rem > 1 or sum(p**e for p, e in factors) > n:
+    f = _achievable(m, n)
+    if f is None:
         return Fraction(0)
     f_n = math.factorial(n)
-    return Fraction(_count_order(n, FactoredInt(m, tuple(factors)), f_n), f_n)
+    return Fraction(_count_order(n, f, f_n), f_n)
 
 
-# One entry holds up to max_support ints (18 663 at n = 100, about 0.7 MB).
-# Its callers, `full_pmf` and `support`, each reuse only the n they are
-# working on, so a sweep keeps one support, not the last few.  The budget is
-# part of the key, so a lowered DEFAULT_MAX_SUPPORT is never served a cached
-# answer.
-@lru_cache(maxsize=1)
-def _support_values(n: int, max_support: int) -> tuple[int, ...]:
+def _achievable(m: int, n: int) -> FactoredInt | None:
+    """m factorized if some permutation of [n] has order m, else None.
+
+    m is an achievable order iff its maximal prime powers fit into [n] as
+    disjoint cycles; everything else can be padded with fixed points.  So
+    only primes <= n are divided out: a cofactor left over, or a prime
+    factor > n, rules m out without factorizing it further.
+    """
+    factors, rem = _trial_factors(m, n)
+    if rem > 1 or sum(p**e for p, e in factors) > n:
+        return None
+    return FactoredInt(m, tuple(factors))
+
+
+def _support_values(n: int, max_support: int) -> list[int]:
     primes = primes_up_to(n)
     out: list[int] = []
 
@@ -601,8 +607,7 @@ def _support_values(n: int, max_support: int) -> tuple[int, ...]:
                 q *= p
 
     walk(0, n, 1)
-    out.sort()
-    return tuple(out)
+    return sorted(out)
 
 
 def support(n: int) -> list[int]:
@@ -615,7 +620,7 @@ def support(n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return list(_support_values(n, DEFAULT_MAX_SUPPORT))
+    return _support_values(n, DEFAULT_MAX_SUPPORT)
 
 
 def _small_cycle_limit(n: int) -> int:
@@ -818,9 +823,11 @@ def _group_orders(
             out[m] = get(m, 0) + w * c
 
 
-# Keyed on the support budget as well, like `_support_values`.
+# The one pmf kept between calls: the last n's checked counts, which
+# `full_pmf` hands out copied.  The support budget is part of the key, so a
+# lowered DEFAULT_MAX_SUPPORT is never served a cached pmf.
 @lru_cache(maxsize=1)
-def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
+def _full_counts(n: int, max_support: int) -> dict[int, int]:
     entries = dict.fromkeys(_support_values(n, max_support), 0)
     size = len(entries)
     small, groups, _ = _cycle_tables(n, min(_small_cycle_limit(n), n))
@@ -841,9 +848,9 @@ def _full_counts(n: int, max_support: int) -> tuple[tuple[int, int], ...]:
         )
     if sum(entries.values()) != math.factorial(n):
         raise RuntimeError(f"internal inconsistency at n={n}: the counts do not sum to n!")
-    # Ascending already: the keys are the sorted support, and the merge
-    # only adds to their values.
-    return tuple(entries.items())
+    # Ascending: the keys are the sorted support, and the merge only adds
+    # to their values.
+    return entries
 
 
 def full_pmf(n: int) -> OrderPmf:
@@ -855,7 +862,8 @@ def full_pmf(n: int) -> OrderPmf:
     counts must sum to n! and the nonzero keys must equal support(n),
     which checks the whole result: a product outside support(n), a zero
     count or a wrong total raises RuntimeError.  The entries ascend in
-    m.  An n above DEFAULT_MAX_N, or a support larger than
+    m.  The last n's counts are kept, and each call returns a copy of
+    them.  An n above DEFAULT_MAX_N, or a support larger than
     DEFAULT_MAX_SUPPORT, raises `BudgetExceededError`.
     """
     if n < 1:
@@ -876,10 +884,10 @@ def mode(n: int) -> ModeResult:
     argmax that keeps every tie.  No pmf or support is held, and no more
     than one group's orders.  Checks, each raising RuntimeError: the
     group masses sum to n!; the merged count of n - k0 equals T, two
-    independent routes agreeing; every argmax is an achievable order, its
-    prime powers dividing out over the primes <= n and summing to at most
-    n.  An n above DEFAULT_MAX_N raises `BudgetExceededError` before any
-    work is done; DEFAULT_MAX_SUPPORT does not apply.
+    independent routes agreeing; every argmax is an achievable order
+    (`_achievable`, the test of `p_exact`).  An n above DEFAULT_MAX_N
+    raises `BudgetExceededError` before any work is done;
+    DEFAULT_MAX_SUPPORT does not apply.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -887,19 +895,19 @@ def mode(n: int) -> ModeResult:
         raise BudgetExceededError(f"n={n} exceeds max_n={DEFAULT_MAX_N}")
     f_n = math.factorial(n)
     expected = n - compute_forcing_set(n).max_k
-    factors, _ = _trial_factors(expected, n)
-    target = _count_order(n, FactoredInt(expected, tuple(factors)), f_n)
-    t = min(_small_cycle_limit(n), n)
-    h_expected = expected // math.gcd(expected, lcm_range(t))
-    small, groups, totals = _cycle_tables(n, t)
+    # n - k0 is always achievable; were it refused, the count 0 would fail
+    # the cross-check against the merge below.
+    f = _achievable(expected, n)
+    target = 0 if f is None else _count_order(n, f, f_n)
+    small, groups, totals = _cycle_tables(n, min(_small_cycle_limit(n), n))
     binom = [math.comb(n, s) for s in range(n + 1)]
     best = merged = 0
     argmax: list[int] = []
     for h, cells in _heavy_groups(n, groups, totals, binom, target):
         orders: dict[int, int] = {}
         _group_orders(n, small, binom, h, cells, orders)
-        if h == h_expected:
-            merged = orders.get(expected, 0)
+        # The groups are disjoint, so one of them at most holds n - k0.
+        merged = orders.get(expected, merged)
         top = max(orders.values())
         if top >= best:
             if top > best:
@@ -913,8 +921,7 @@ def mode(n: int) -> ModeResult:
         )
     argmax.sort()
     for m in argmax:
-        factors, rem = _trial_factors(m, n)
-        if rem > 1 or sum(p**e for p, e in factors) > n:
+        if _achievable(m, n) is None:
             raise RuntimeError(
                 f"internal inconsistency at n={n}: argmax {m} is not an achievable order"
             )

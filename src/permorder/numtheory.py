@@ -81,7 +81,7 @@ def _trial_factors(m: int, top: int) -> tuple[list[tuple[int, int]], int]:
     p * p exceeds what is left.  A leftover proven to be 1 or a prime goes
     into the factors and the cofactor is 1.  Otherwise the cofactor is > 1
     and every prime factor of it exceeds ``top``.  `factorize`,
-    `exactdist.p_exact` and the sampler's set-up each pass their own
+    `exactdist._achievable` and the sampler's set-up each pass their own
     ``top``.  Private, so that bench/tracing.py, which wraps this module's
     public functions, adds no span for it.
     """
@@ -104,9 +104,6 @@ def _trial_factors(m: int, top: int) -> tuple[list[tuple[int, int]], int]:
     return factors, rem
 
 
-# Bounded so a long run over many m cannot grow it without limit; a
-# factorization is a few hundred bytes, and callers reuse recent m only.
-@lru_cache(maxsize=1024)
 def factorize(m: int) -> FactoredInt:
     """Prime factorization by trial division up to sqrt(m)."""
     if m < 1:

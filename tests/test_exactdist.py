@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import helpers
 from permorder import exactdist, numtheory
-from permorder.asymptotics import verify_mode_location
+from permorder.asymptotics import verify_mode_location, verify_near_max_form
 from permorder.exactdist import (
     DEFAULT_MAX_N,
     P_EXACT_MAX_N,
@@ -416,6 +416,17 @@ class TestSupport:
             support(40)
         assert "10" in str(exc.value)
 
+    def test_achievable_matches_support(self):
+        # The DFS builds the orders from prime powers that fit in n; the one
+        # test that `p_exact` and `mode` share divides a single m by trial.
+        for n in range(1, 41):
+            orders = set(support(n))
+            for m in range(1, max(orders) + 51):
+                f = exactdist._achievable(m, n)
+                assert (f is None) == (m not in orders), (n, m)
+                if f is not None:
+                    assert f.factors == factorize(m).factors, (n, m)
+
 
 class TestFullPmf:
     def test_frozen_example(self):
@@ -446,6 +457,27 @@ class TestFullPmf:
                 if n - k > n // 2:
                     count = full_pmf(n).entries.get(n - k, 0)
                     assert count * (n - k) >= math.factorial(n)
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_returns_a_fresh_dict(self, n):
+        # The last pmf is cached: editing a returned dict must change
+        # neither the next call nor what is read off the pmf.
+        eps = Fraction(1, 10)
+
+        def read():
+            return (
+                list(full_pmf(n).entries.items()),
+                collision_norm(n),
+                tail_max(n, eps),
+                verify_near_max_form(n),
+            )
+
+        before = read()
+        entries = full_pmf(n).entries
+        entries[n] += 1
+        entries[2 * landau_g(n)] = math.factorial(n)
+        entries.pop(1)
+        assert read() == before
 
     def test_budget_errors(self, monkeypatch):
         with pytest.raises(BudgetExceededError):
