@@ -17,11 +17,15 @@ descending chain of `math.perm` over the rows the walk reads
 and those `_plan_split` adds by a work estimate, are cancelled in the
 walk: their primes take no Moebius term, and a walk node counts only if
 its cycles carry every one of them.
+One routine, `_lattice_rows`, turns divide-counts into exact-order
+counts over a whole divisor lattice: it runs the recurrence for every
+divisor, keeps the label counts asked for, and inverts the columns
+(`DivisorLattice.mobius_steps`).  `order_counts_on_lattice` reads its
+row n for the divisors of m.
 The full pmf splits the cycle lengths by whether they divide
-L = lcm(1..t).  `_small_cycle_table` runs the recurrence over every
-divisor of L, with the divisors of L as cycle lengths, for every label
-count up to n, and inverts whole columns
-(`DivisorLattice.mobius_steps`).  `_long_cycle_table` walks the
+L = lcm(1..t), with t clipped to n (`_cycle_tables` decides it).
+`_small_cycle_table` is every row of `_lattice_rows` over the divisors
+of L, for every label count up to n.  `_long_cycle_table` walks the
 partitions into the other lengths once and sums the permutations of
 [s], for each label count s, by (g, h) with g = gcd(order, L) and
 h = order // g.  The order m alone fixes h = m // gcd(m, L), so the
@@ -30,23 +34,23 @@ order l in the small table divides L, so lcm(g * h, l) = h * lcm(g, l),
 and one kernel (`_group_orders`) merges a group: each of its cells
 (s, g, w) spreads small-table row n - s under l -> h * lcm(g, l),
 weighted by C(n, s) * w.  `full_pmf` merges every group into one dict
-over the support.  `mode` holds no pmf: it merges, each into a dict of
-its own, only the groups whose mass reaches the `_count_order` count
-of n - k0 (k0 the largest forcing offset), and keeps a running
-argmax.  The rows of both tables do not depend on n, so the last pair
-built is kept in a one-entry slot and serves every n with the same t
-that it has rows for.  That slot and a one-entry cache of the last pmf
-(`_full_counts`, which `full_pmf` copies out) are the only state kept
-between calls.
-`order_counts_on_lattice` gives the counts of every divisor of m at
-once; no code in this package calls it, and it stays as a reference for
-the tests.
+over the support.  `mode` holds no pmf: in one pass over the groups it
+sums each group's mass and merges, each into a dict of its own, only
+the groups whose mass reaches the `_count_order` count of n - k0 (k0
+the largest forcing offset), keeping a running argmax.  The rows of
+both tables do not depend on n, so the last pair built is kept in a
+one-entry slot and serves every n with the same t that it has rows
+for.  That slot and a one-entry cache of the last pmf (`_full_counts`,
+which `full_pmf` copies out) are the only state kept between calls.
+No code in this package calls `order_counts_on_lattice`; it stays as a
+reference for the tests.
 `count_order_exactly_mobius` runs inclusion-exclusion over prime-exponent
 drops on the falling-factorial recursion of `count_lengths_divide`, and
 `count_restricted_cycles` runs that recursion with a cycle-count index.
 The cross-checks that share nothing with these are the inclusion-exclusion
-route, brute-force enumeration (`brute_force_pmf`) and the reference code
-in tests/helpers.py.
+route, brute-force enumeration (one (cycles, order) table, which
+`brute_force_pmf` sums over cycles) and the reference code in
+tests/helpers.py.
 
 Every size limit is a module constant, read when the call is made:
 DEFAULT_MAX_N for the full pmf, everything read off it and `mode`,
@@ -199,44 +203,64 @@ def _divide_columns(
         yield a
 
 
-def _divide_counts(n: int, divisors: Sequence[int]) -> list[int]:
-    """L(d) = #{pi in S_n : every cycle length divides d}, for each d listed.
+def _lattice_rows(
+    n: int, lattice: DivisorLattice, rows: Sequence[int]
+) -> list[dict[int, int]]:
+    """For each r in ``rows`` (ascending, up to n), d -> #{pi in S_r : ord(pi) = d}.
 
-    ``divisors`` must be all the divisors of some m, ascending; L(d) is
-    the last entry of d's column in `_divide_columns`.
+    d runs over the divisors of the lattice's top m, so the permutations
+    counted are those whose cycle lengths all divide m.  L(d), the
+    permutations whose cycle lengths all divide d, is the sum of the
+    exact-order counts E(d') over d' | d, so Moebius inversion over the
+    lattice (`DivisorLattice.mobius_steps`) turns L into E.
+    `_divide_columns` gives each divisor's column of L, with the divisors
+    up to n as cycle lengths and row r scaled by n!/r!; each column is cut
+    to the rows asked for before the next is built.  The inversion is
+    linear, so it runs on the scaled columns, and each cell is divided back
+    by n!/r! (`_falling_products`) and dropped as its row is read: the cut
+    columns are held about once.  A negative count means an inconsistent
+    column, and raises.
     """
-    lengths = [j for j in divisors if j <= n]
+    divisors = lattice.divisors
+    lengths = [d for d in divisors if d <= n]
     # map lets go of each column before the next is built; the loop variable
     # of a comprehension would keep a second column of about n! sized ints.
-    return list(map(operator.itemgetter(n), _divide_columns(n, lengths, divisors, n)))
+    columns = _divide_columns(n, lengths, divisors, rows[-1])
+    cols = list(map(lambda col: [col[r] for r in rows], columns))
+    for i, k in lattice.mobius_steps():
+        cols[i] = [a - b for a, b in zip(cols[i], cols[k])]
+    scales = _falling_products(n, rows)
+    out = []
+    for i, r in enumerate(rows):
+        s = scales[r]
+        row = {}
+        for d, col in zip(divisors, cols):
+            c = col[i]
+            col[i] = None
+            if c:
+                c //= s
+                if c < 0:
+                    raise RuntimeError(
+                        f"internal inconsistency at n={n}: "
+                        f"negative count {c} for order {d} on {r} labels"
+                    )
+                row[d] = c
+        out.append(row)
+    return out
 
 
 def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
     """Exact-order counts for all divisors of f.value at once.
 
-    L(d), the number of permutations whose cycle lengths all divide d, is
-    the sum of the exact-order counts E(d') over d' | d.  So `_divide_counts`
-    gives L on the divisor lattice of m = f.value, and Moebius inversion
-    (`DivisorLattice.mobius_steps`) recovers E.  That costs sum over d | m
-    of tau(d) additions per label, against tau(m) per cycle length for a
-    DP that carries the running lcm.  A negative E(d) means an
-    inconsistent L, and raises.
+    Row n of `_lattice_rows` over the divisor lattice of m = f.value.  That
+    costs sum over d | m of tau(d) additions per label, against tau(m) per
+    cycle length for a DP that carries the running lcm.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     lattice = DivisorLattice(f)
-    divisors = lattice.divisors
-    counts = _divide_counts(n, divisors)
-    for i, k in lattice.mobius_steps():
-        counts[i] -= counts[k]
-    for d, c in zip(divisors, counts):
-        if c < 0:
-            raise RuntimeError(
-                f"internal inconsistency at n={n}: negative count {c} for order {d}"
-            )
-    return LatticeCountVector(
-        n=n, lattice=lattice, counts={d: c for d, c in zip(divisors, counts) if c}
-    )
+    (counts,) = _lattice_rows(n, lattice, [n])
+    return LatticeCountVector(n=n, lattice=lattice, counts=counts)
 
 
 def count_order_exactly_mobius(n: int, f: FactoredInt) -> int:
@@ -587,8 +611,18 @@ def _achievable(m: int, n: int) -> FactoredInt | None:
     return FactoredInt(m, tuple(factors))
 
 
-def _support_values(n: int, max_support: int) -> list[int]:
+def support(n: int) -> list[int]:
+    """All achievable orders of a permutation of [n], sorted ascending.
+
+    These are exactly the m whose maximal prime-power parts sum to at
+    most n; enumerated by a DFS that assigns each prime an exponent and
+    charges p^e against the remaining budget.  More than
+    DEFAULT_MAX_SUPPORT orders raise `BudgetExceededError`.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     primes = primes_up_to(n)
+    max_support = DEFAULT_MAX_SUPPORT
     out: list[int] = []
 
     def walk(start: int, budget: int, value: int) -> None:
@@ -610,19 +644,6 @@ def _support_values(n: int, max_support: int) -> list[int]:
     return sorted(out)
 
 
-def support(n: int) -> list[int]:
-    """All achievable orders of a permutation of [n], sorted ascending.
-
-    These are exactly the m whose maximal prime-power parts sum to at
-    most n; enumerated by a DFS that assigns each prime an exponent and
-    charges p^e against the remaining budget.  More than
-    DEFAULT_MAX_SUPPORT orders raise `BudgetExceededError`.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return _support_values(n, DEFAULT_MAX_SUPPORT)
-
-
 def _small_cycle_limit(n: int) -> int:
     # Timed as full_pmf(2..100) in one process with the cycles split by
     # lcm(1..t), the scan below runs fastest with t near n/6: 0.75-0.94 s
@@ -639,42 +660,10 @@ def _small_cycle_table(n: int, t: int) -> list[dict[int, int]]:
     """Row r maps l to #{pi in S_r : all cycle lengths divide L, ord(pi) = l}.
 
     L = lcm(1..t), so every length up to t counts, and so do longer ones
-    that divide L (6 at t = 3, 10 and 12 at t = 5).  The divide-count
-    route of `order_counts_on_lattice`, taken over the divisors of L:
-    `_divide_columns` gives each divisor's whole column, with the
-    divisors up to n as cycle lengths; row r is divided back by n!/r!,
-    and `DivisorLattice.mobius_steps` inverts the columns.  Whole
-    columns are inverted at once and each cell is dropped as its row is
-    read, so the table is held about once.  A negative count means an
-    inconsistent column, and raises.
+    that divide L (6 at t = 3, 10 and 12 at t = 5).  These are the rows
+    0..n of `_lattice_rows` over the divisors of L.
     """
-    t = min(t, n)
-    lattice = DivisorLattice(factorize(lcm_range(t)))
-    divisors = lattice.divisors
-    f_n = math.factorial(n)
-    scales = [f_n // math.factorial(r) for r in range(n + 1)]
-    lengths = [d for d in divisors if d <= n]
-    cols: list[list] = [
-        [a // s for a, s in zip(col, scales)]
-        for col in _divide_columns(n, lengths, divisors, n)
-    ]
-    for i, k in lattice.mobius_steps():
-        cols[i] = [a - b for a, b in zip(cols[i], cols[k])]
-    rows = []
-    for r in range(n + 1):
-        row = {}
-        for d, col in zip(divisors, cols):
-            c = col[r]
-            col[r] = None
-            if c:
-                if c < 0:
-                    raise RuntimeError(
-                        f"internal inconsistency at n={n}: "
-                        f"negative count {c} for order {d} on {r} labels"
-                    )
-                row[d] = c
-        rows.append(row)
-    return rows
+    return _lattice_rows(n, DivisorLattice(factorize(lcm_range(t))), range(n + 1))
 
 
 def _long_cycle_table(n: int, t: int) -> dict[int, tuple[int, ...]]:
@@ -732,15 +721,16 @@ def _long_cycle_table(n: int, t: int) -> dict[int, tuple[int, ...]]:
 _TABLE_SLOT: dict[int, tuple] = {}
 
 
-def _cycle_tables(n: int, t: int) -> tuple:
+def _cycle_tables(n: int) -> tuple:
     """The slot entry holding rows 0..n (or more) of both tables.
 
     That is (`_small_cycle_table`, `_long_cycle_table`, R) with R(r) the
-    total of small-table row r.  t is the limit clipped to n.  A miss
-    builds both tables up to the largest n' <= n + 5 whose clipped limit
-    is the same t, so a run over consecutive n builds them once per band
-    of the `_small_cycle_limit` rule, in either direction.
+    total of small-table row r, for t = `_small_cycle_limit(n)` clipped to
+    n.  A miss builds both tables up to the largest n' <= n + 5 whose
+    clipped limit is the same t, so a run over consecutive n builds them
+    once per band of the `_small_cycle_limit` rule, in either direction.
     """
+    t = min(_small_cycle_limit(n), n)
     tables = _TABLE_SLOT.get(t)
     if tables is None or len(tables[0]) <= n:
         _TABLE_SLOT.clear()
@@ -752,43 +742,6 @@ def _cycle_tables(n: int, t: int) -> tuple:
             [sum(row.values()) for row in small],
         )
     return tables
-
-
-def _heavy_groups(
-    n: int,
-    groups: dict[int, tuple[int, ...]],
-    totals: list[int],
-    binom: list[int],
-    floor: int,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(h, cells) for each h group whose mass on [n] is ``floor`` or more.
-
-    The order m alone fixes h = m // gcd(m, L), so the orders fall into
-    disjoint groups, one per h.  A group's mass, the sum over its cells
-    (s, g, w) with s <= n of C(n, s) * R(n - s) * w, with R(r) the total
-    of small-table row r and C(n, s) = binom[s], is the sum of its orders'
-    counts, so no order of a group with mass below ``floor`` counts
-    ``floor`` or more.  The masses must sum to n!, or RuntimeError is
-    raised.
-    """
-    weights = [b * totals[n - s] for s, b in enumerate(binom)]
-    heavy = []
-    whole = 0
-    for h, cells in groups.items():
-        mass = 0
-        it = iter(cells)
-        for s, _, w in zip(it, it, it):
-            if s > n:
-                break
-            mass += weights[s] * w
-        whole += mass
-        if mass >= floor:
-            heavy.append((h, cells))
-    if whole != math.factorial(n):
-        raise RuntimeError(
-            f"internal inconsistency at n={n}: the group masses do not sum to n!"
-        )
-    return heavy
 
 
 def _group_orders(
@@ -824,13 +777,14 @@ def _group_orders(
 
 
 # The one pmf kept between calls: the last n's checked counts, which
-# `full_pmf` hands out copied.  The support budget is part of the key, so a
-# lowered DEFAULT_MAX_SUPPORT is never served a cached pmf.
+# `full_pmf` hands out copied.  `support` reads DEFAULT_MAX_SUPPORT itself;
+# the budget is part of the key only so that a lowered DEFAULT_MAX_SUPPORT
+# is never served a cached pmf.
 @lru_cache(maxsize=1)
 def _full_counts(n: int, max_support: int) -> dict[int, int]:
-    entries = dict.fromkeys(_support_values(n, max_support), 0)
+    entries = dict.fromkeys(support(n), 0)
     size = len(entries)
-    small, groups, _ = _cycle_tables(n, min(_small_cycle_limit(n), n))
+    small, groups, _ = _cycle_tables(n)
     binom = [math.comb(n, s) for s in range(n + 1)]
     for h, cells in groups.items():
         _group_orders(n, small, binom, h, cells, entries)
@@ -878,16 +832,16 @@ def mode(n: int) -> ModeResult:
 
     T = count(n - k0), with k0 the largest forcing offset, is counted by
     `_count_order`, the route of `p_exact`.  The most likely orders count
-    T or more, so only the h groups whose mass reaches T
-    (`_heavy_groups`) are merged, each into a dict of its own by the
-    kernel of `full_pmf` (`_group_orders`), and read into a running
-    argmax that keeps every tie.  No pmf or support is held, and no more
-    than one group's orders.  Checks, each raising RuntimeError: the
-    group masses sum to n!; the merged count of n - k0 equals T, two
-    independent routes agreeing; every argmax is an achievable order
-    (`_achievable`, the test of `p_exact`).  An n above DEFAULT_MAX_N
-    raises `BudgetExceededError` before any work is done;
-    DEFAULT_MAX_SUPPORT does not apply.
+    T or more.  One pass over the h groups sums each group's mass, the
+    total of its orders' counts, and merges only the groups whose mass
+    reaches T, each into a dict of its own by the kernel of `full_pmf`
+    (`_group_orders`), read into a running argmax that keeps every tie.
+    No pmf or support is held, and no more than one group's orders.
+    Checks, each raising RuntimeError: the group masses sum to n!; the
+    merged count of n - k0 equals T, two independent routes agreeing;
+    every argmax is an achievable order (`_achievable`, the test of
+    `p_exact`).  An n above DEFAULT_MAX_N raises `BudgetExceededError`
+    before any work is done; DEFAULT_MAX_SUPPORT does not apply.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -899,11 +853,24 @@ def mode(n: int) -> ModeResult:
     # the cross-check against the merge below.
     f = _achievable(expected, n)
     target = 0 if f is None else _count_order(n, f, f_n)
-    small, groups, totals = _cycle_tables(n, min(_small_cycle_limit(n), n))
+    small, groups, totals = _cycle_tables(n)
     binom = [math.comb(n, s) for s in range(n + 1)]
-    best = merged = 0
+    # A group's mass is the sum of its orders' counts: the sum over its cells
+    # (s, g, w) with s <= n of C(n, s) * R(n - s) * w, R the small-table row
+    # totals.  No order of a group whose mass is below T counts T or more.
+    weights = [b * totals[n - s] for s, b in enumerate(binom)]
+    best = merged = whole = 0
     argmax: list[int] = []
-    for h, cells in _heavy_groups(n, groups, totals, binom, target):
+    for h, cells in groups.items():
+        mass = 0
+        it = iter(cells)
+        for s, _, w in zip(it, it, it):
+            if s > n:
+                break
+            mass += weights[s] * w
+        whole += mass
+        if mass < target:
+            continue
         orders: dict[int, int] = {}
         _group_orders(n, small, binom, h, cells, orders)
         # The groups are disjoint, so one of them at most holds n - k0.
@@ -914,6 +881,10 @@ def mode(n: int) -> ModeResult:
                 best = top
                 argmax = []
             argmax.extend(m for m, c in orders.items() if c == top)
+    if whole != f_n:
+        raise RuntimeError(
+            f"internal inconsistency at n={n}: the group masses do not sum to n!"
+        )
     if merged != target:
         raise RuntimeError(
             f"internal inconsistency at n={n}: the merge counts {merged} "
@@ -1000,8 +971,7 @@ def count_restricted_cycles(n: int, cycles: int, allowed: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _brute_tables(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], int], ...]]:
-    pmf: dict[int, int] = {}
+def _brute_joint(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     joint: dict[tuple[int, int], int] = {}
     for perm in itertools.permutations(range(n)):
         seen = [False] * n
@@ -1016,22 +986,26 @@ def _brute_tables(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tupl
                 i = perm[i]
                 length += 1
             lengths.append(length)
-        order = math.lcm(*lengths) if lengths else 1
-        pmf[order] = pmf.get(order, 0) + 1
-        key = (len(lengths), order)
+        key = (len(lengths), math.lcm(*lengths) if lengths else 1)
         joint[key] = joint.get(key, 0) + 1
-    return tuple(sorted(pmf.items())), tuple(sorted(joint.items()))
+    return tuple(sorted(joint.items()))
 
 
 def brute_force_pmf(n: int) -> OrderPmf:
-    """Order pmf by direct enumeration of all n! permutations (n <= 9)."""
+    """Order pmf by direct enumeration of all n! permutations (n <= 9).
+
+    The marginal over orders of `brute_force_joint`, ascending in m.
+    """
     if not 1 <= n <= BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force needs 1 <= n <= {BRUTE_FORCE_LIMIT}, got {n}")
-    return OrderPmf(n=n, entries=dict(_brute_tables(n)[0]))
+    pmf: dict[int, int] = {}
+    for (_, order), c in _brute_joint(n):
+        pmf[order] = pmf.get(order, 0) + c
+    return OrderPmf(n=n, entries=dict(sorted(pmf.items())))
 
 
 def brute_force_joint(n: int) -> dict[tuple[int, int], int]:
     """(number of cycles, order) -> count, by direct enumeration (n <= 9)."""
     if not 1 <= n <= BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force needs 1 <= n <= {BRUTE_FORCE_LIMIT}, got {n}")
-    return dict(_brute_tables(n)[1])
+    return dict(_brute_joint(n))

@@ -151,17 +151,20 @@ class TestDivideCountRoute:
 
     @pytest.mark.parametrize("n, m", [(0, 12), (1, 6), (2, 12), (30, 360), (97, 2310)])
     def test_divide_counts_match_inclusion_exclusion(self, n, m):
+        # L(d) is the last row of d's scaled column.
         divisors = DivisorLattice(factorize(m)).divisors
-        assert exactdist._divide_counts(n, divisors) == [
+        lengths = [d for d in divisors if d <= n]
+        assert [col[n] for col in exactdist._divide_columns(n, lengths, divisors, n)] == [
             count_lengths_divide(n, factorize(d)) for d in divisors
         ]
 
     def test_negative_count_raises(self, monkeypatch):
-        # Divide-counts in the wrong order make L(1) > L(2), which no
-        # permutation counts can give: E(2) = L(2) - L(1) < 0.
-        real = exactdist._divide_counts
+        # Columns in the wrong order put L(6) where L(2) belongs and L(12)
+        # where L(1) does, and on six labels L(12) > L(6): E(2) < 0.
+        real = exactdist._divide_columns
         monkeypatch.setattr(
-            exactdist, "_divide_counts", lambda n, divisors: real(n, divisors)[::-1]
+            exactdist, "_divide_columns",
+            lambda n, lengths, columns, last: list(real(n, lengths, columns, last))[::-1],
         )
         with pytest.raises(RuntimeError, match="negative count"):
             order_counts_on_lattice(6, factorize(12))
@@ -549,6 +552,14 @@ class TestSmallCycleKernel:
         with pytest.raises(RuntimeError, match="negative count"):
             exactdist._small_cycle_table(6, 4)
 
+    @pytest.mark.parametrize("n, t", [(30, 5), (60, 10)])
+    def test_sparse_lattice_rows_match_the_table(self, n, t):
+        # Rows asked for alone are divided back by their own n!/r!.
+        lattice = DivisorLattice(factorize(numtheory.lcm_range(t)))
+        rows = [0, 3, 17, n]
+        table = exactdist._small_cycle_table(n, t)
+        assert exactdist._lattice_rows(n, lattice, rows) == [table[r] for r in rows]
+
 
 # sha256 of repr(sorted(full_pmf(n).entries.items())), frozen from the
 # kernel that merged every walk node with its table row one by one; n = 150
@@ -773,7 +784,7 @@ class TestMode:
         def refused(*args):
             raise AssertionError("mode read the pmf or the support")
 
-        for name in ("full_pmf", "_full_counts", "_support_values"):
+        for name in ("full_pmf", "_full_counts", "support"):
             monkeypatch.setattr(exactdist, name, refused)
         exactdist._TABLE_SLOT.clear()
         assert {n: mode(n) for n in ns} == expected
@@ -817,9 +828,9 @@ class TestMode:
             mode(6)
 
     @pytest.mark.parametrize("n", [12, 20, 37, 60])
-    def test_group_at_the_floor_is_kept(self, n):
-        # Group orders by h = m // gcd(m, L) from the pmf itself, and select
-        # with the floor set to one group's mass exactly.
+    def test_group_at_the_floor_is_kept(self, n, monkeypatch):
+        # Group the pmf's orders by h = m // gcd(m, L): mode merges exactly
+        # the groups whose mass reaches the count of n - k0.
         t = min(exactdist._small_cycle_limit(n), n)
         big_l = numtheory.lcm_range(t)
         pmf = full_pmf(n).entries
@@ -827,17 +838,17 @@ class TestMode:
         for m, c in pmf.items():
             h = m // math.gcd(m, big_l)
             mass[h] = mass.get(h, 0) + c
-        floor = sorted(set(mass.values()))[len(set(mass.values())) // 2]
-        kept = {h for h, c in mass.items() if c >= floor}
-        assert floor in (mass[h] for h in kept) and len(kept) < len(mass)
-        small, groups, totals = exactdist._cycle_tables(n, t)
-        binom = [math.comb(n, s) for s in range(n + 1)]
-        heavy = exactdist._heavy_groups(n, groups, totals, binom, floor)
-        assert {h for h, _ in heavy} == kept
-        counts: dict[int, int] = {}
-        for h, cells in heavy:
-            exactdist._group_orders(n, small, binom, h, cells, counts)
-        assert counts == {m: c for m, c in pmf.items() if m // math.gcd(m, big_l) in kept}
+        floor = pmf[n - compute_forcing_set(n).max_k]
+        merged = []
+        real = exactdist._group_orders
+
+        def spy(n, small, binom, h, cells, out):
+            merged.append(h)
+            return real(n, small, binom, h, cells, out)
+
+        monkeypatch.setattr(exactdist, "_group_orders", spy)
+        mode(n)
+        assert sorted(merged) == sorted(h for h, c in mass.items() if c >= floor)
 
     def test_tie_across_groups(self, monkeypatch):
         # Hand-made tables for n = 5 (t = 3, L = 6, n - k0 = 4): the group
@@ -848,7 +859,7 @@ class TestMode:
         small = [{1: 1}, {1: 1}, {}, {}, {}, {1: 20, 2: 20, 3: 20, 6: 30}]
         groups = {1: (0, 1, 1), 2: (4, 2, 6)}
         tables = (small, groups, [sum(row.values()) for row in small])
-        monkeypatch.setattr(exactdist, "_cycle_tables", lambda n, t: tables)
+        monkeypatch.setattr(exactdist, "_cycle_tables", lambda n: tables)
         res = mode(5)
         assert res.argmax == (4, 6)
         assert res.max_count == 30
