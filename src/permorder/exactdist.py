@@ -7,7 +7,7 @@ this module.
 
 Exact-order counts rest on divide-counts: L(d), the permutations whose
 cycle lengths all divide d, from a scaled one-state recurrence
-(`_divide_columns`), with Moebius inversion over divisors turning them
+(`_divide_column`), with Moebius inversion over divisors turning them
 into counts of order exactly d.  `p_exact` counts order m alone: it sums
 mu(s) L(m/s) over squarefree s | m.  Cycles up to t =
 `_small_cycle_limit(n)` are read from one column per term, for e =
@@ -19,7 +19,8 @@ walk: their primes take no Moebius term, and a walk node counts only if
 its cycles carry every one of them.
 One routine, `_lattice_rows`, turns divide-counts into exact-order
 counts over a whole divisor lattice: it runs the recurrence for every
-divisor, keeps the label counts asked for, and inverts the columns
+divisor, keeps the label counts asked for, each divided back by n!/r!
+as the column is cut, and inverts the exact columns
 (`DivisorLattice.mobius_steps`).  `order_counts_on_lattice` reads its
 row n for the divisors of m.
 The full pmf splits the cycle lengths by whether they divide
@@ -117,7 +118,6 @@ class LatticeCountVector:
     """
 
     n: int
-    lattice: DivisorLattice
     counts: dict[int, int]
 
     def count_for(self, d: int) -> int:
@@ -165,10 +165,8 @@ def count_lengths_divide(n: int, f: FactoredInt) -> int:
     return w[n]
 
 
-def _divide_columns(
-    n: int, lengths: Sequence[int], columns: Iterable[int], last: int
-) -> Iterator[list[int]]:
-    """Yield, for each c in ``columns``, the scaled column a[0..last] for c.
+def _divide_column(n: int, lengths: Sequence[int], c: int, last: int) -> list[int]:
+    """The scaled column a[0..last] for the lengths that divide c.
 
     w[nu] counts the permutations of [nu] whose cycle lengths all lie in
     ``lengths`` (ascending) and divide c.  This is the cycle peeling of
@@ -180,27 +178,24 @@ def _divide_columns(
     one addition per cell and one division by nu per row, and a[n] = w[n].
     Rows past ``last`` <= n are not built.  The division is exact because
     a[nu] is an integer for nu <= n; a remainder means a broken
-    recurrence, and raises.  A caller that holds no column while asking
-    for the next keeps one column alive at a time.
+    recurrence, and raises.
     """
-    f_n = math.factorial(n)
-    for c in columns:
-        js = [j for j in lengths if c % j == 0]
-        a = [f_n] + [0] * last
-        for nu in range(1, last + 1):
-            s = 0
-            for j in js:
-                if j > nu:
-                    break
-                s += a[nu - j]
-            q, rem = divmod(s, nu)
-            if rem:
-                raise RuntimeError(
-                    f"internal inconsistency at n={n}: "
-                    f"scaled row {nu} is not divisible by {nu}"
-                )
-            a[nu] = q
-        yield a
+    js = [j for j in lengths if c % j == 0]
+    a = [math.factorial(n)] + [0] * last
+    for nu in range(1, last + 1):
+        s = 0
+        for j in js:
+            if j > nu:
+                break
+            s += a[nu - j]
+        q, rem = divmod(s, nu)
+        if rem:
+            raise RuntimeError(
+                f"internal inconsistency at n={n}: "
+                f"scaled row {nu} is not divisible by {nu}"
+            )
+        a[nu] = q
+    return a
 
 
 def _lattice_rows(
@@ -213,32 +208,29 @@ def _lattice_rows(
     permutations whose cycle lengths all divide d, is the sum of the
     exact-order counts E(d') over d' | d, so Moebius inversion over the
     lattice (`DivisorLattice.mobius_steps`) turns L into E.
-    `_divide_columns` gives each divisor's column of L, with the divisors
-    up to n as cycle lengths and row r scaled by n!/r!; each column is cut
-    to the rows asked for before the next is built.  The inversion is
-    linear, so it runs on the scaled columns, and each cell is divided back
-    by n!/r! (`_falling_products`) and dropped as its row is read: the cut
-    columns are held about once.  A negative count means an inconsistent
-    column, and raises.
+    `_divide_column` gives each divisor's column of L, with the divisors
+    up to n as cycle lengths and row r scaled by n!/r!.  Each column is
+    cut to the rows asked for, and each kept cell is divided back by
+    n!/r! (`_falling_products`) as it is cut, so the inversion runs on
+    exact counts.  A negative count means an inconsistent column, and
+    raises.
     """
     divisors = lattice.divisors
     lengths = [d for d in divisors if d <= n]
-    # map lets go of each column before the next is built; the loop variable
-    # of a comprehension would keep a second column of about n! sized ints.
-    columns = _divide_columns(n, lengths, divisors, rows[-1])
-    cols = list(map(lambda col: [col[r] for r in rows], columns))
+    scales = _falling_products(n, rows)
+
+    def cut(col: list[int]) -> list[int]:
+        return [col[r] // scales[r] for r in rows]
+
+    cols = [cut(_divide_column(n, lengths, d, rows[-1])) for d in divisors]
     for i, k in lattice.mobius_steps():
         cols[i] = [a - b for a, b in zip(cols[i], cols[k])]
-    scales = _falling_products(n, rows)
     out = []
     for i, r in enumerate(rows):
-        s = scales[r]
         row = {}
         for d, col in zip(divisors, cols):
             c = col[i]
-            col[i] = None
             if c:
-                c //= s
                 if c < 0:
                     raise RuntimeError(
                         f"internal inconsistency at n={n}: "
@@ -258,9 +250,8 @@ def order_counts_on_lattice(n: int, f: FactoredInt) -> LatticeCountVector:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    lattice = DivisorLattice(f)
-    (counts,) = _lattice_rows(n, lattice, [n])
-    return LatticeCountVector(n=n, lattice=lattice, counts=counts)
+    (counts,) = _lattice_rows(n, DivisorLattice(f), [n])
+    return LatticeCountVector(n=n, counts=counts)
 
 
 def count_order_exactly_mobius(n: int, f: FactoredInt) -> int:
@@ -515,13 +506,22 @@ def _falling_products(n: int, rows: Iterable[int]) -> dict[int, int]:
     return out
 
 
+def _add_term(
+    signed: dict[int, int], n_small: int, bits: int, sign: int, col: Sequence[int]
+) -> None:
+    """Add sign * col[r] at each key (r, C) of ``signed`` with C disjoint from ``bits``."""
+    for key in signed:
+        if not key & bits:
+            signed[key] += sign * col[key >> n_small]
+
+
 def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
     """#{pi in S_n : ord(pi) = f.value}, counting order m = f.value alone.
 
     f_n = n!, which the caller holds already.  E(m) = sum over squarefree s | m of mu(s) * L(m/s), with L(d) the
     permutations whose cycle lengths all divide d.  The cycles split at t
     = `_small_cycle_limit(n)`: short ones (<= t) are read from a scaled
-    column of `_divide_columns`, a_e[r] = W_e(r) * n!/r! with W_e(r) the
+    column of `_divide_column`, a_e[r] = W_e(r) * n!/r! with W_e(r) the
     permutations of [r] whose lengths are <= t and divide e, and the rest
     are walked.  For e = 1 only fixed points are short and a_e[r] = n!/r!,
     with no recurrence: `_falling_products` builds it for the key rows
@@ -536,11 +536,11 @@ def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
     it.  `_plan_split` picks these big q: s runs over the primes of the
     small q alone, and a node counts only when its cycles carry every big
     q.  A node whose cycles carry the small q in C counts for every s
-    disjoint from C, so the columns are summed, one at a time, into
-    sum over s disjoint from C of mu(s) a_{e(s)}[r] at each key (r, C) of
-    the walk, and each node divides its key's sum by its weight.  A
-    remainder raises, and so does a count below 1, since m must be
-    achievable.
+    disjoint from C, so the columns are summed, one at a time
+    (`_add_term`), into sum over s disjoint from C of mu(s) a_{e(s)}[r]
+    at each key (r, C) of the walk, and each node divides its key's sum
+    by its weight.  A remainder raises, and so does a count below 1,
+    since m must be achievable.
     """
     m = f.value
     divisors = DivisorLattice(f).divisors
@@ -552,12 +552,10 @@ def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
     last = max(rows)
     signed = dict.fromkeys(keys, 0)
     for bits, sign, e in split.terms:
-        # One generator per column, so that no column outlives its term.
-        col = falling if e == 1 else next(_divide_columns(n, short, (e,), last))
-        for key in signed:
-            if not key & bits:
-                signed[key] += sign * col[key >> n_small]
-        col = None
+        _add_term(
+            signed, n_small, bits, sign,
+            falling if e == 1 else _divide_column(n, short, e, last),
+        )
     count = 0
     for key, weight in split.nodes(n):
         q, rem = divmod(signed[key], weight)

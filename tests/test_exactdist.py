@@ -11,6 +11,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -154,17 +155,18 @@ class TestDivideCountRoute:
         # L(d) is the last row of d's scaled column.
         divisors = DivisorLattice(factorize(m)).divisors
         lengths = [d for d in divisors if d <= n]
-        assert [col[n] for col in exactdist._divide_columns(n, lengths, divisors, n)] == [
+        assert [exactdist._divide_column(n, lengths, d, n)[n] for d in divisors] == [
             count_lengths_divide(n, factorize(d)) for d in divisors
         ]
 
     def test_negative_count_raises(self, monkeypatch):
-        # Columns in the wrong order put L(6) where L(2) belongs and L(12)
-        # where L(1) does, and on six labels L(12) > L(6): E(2) < 0.
-        real = exactdist._divide_columns
+        # Columns in the wrong order (the column of 12/d built for d) put
+        # L(6) where L(2) belongs and L(12) where L(1) does, and on six
+        # labels L(12) > L(6): E(2) < 0.
+        real = exactdist._divide_column
         monkeypatch.setattr(
-            exactdist, "_divide_columns",
-            lambda n, lengths, columns, last: list(real(n, lengths, columns, last))[::-1],
+            exactdist, "_divide_column",
+            lambda n, lengths, c, last: real(n, lengths, 12 // c, last),
         )
         with pytest.raises(RuntimeError, match="negative count"):
             order_counts_on_lattice(6, factorize(12))
@@ -280,12 +282,10 @@ class TestOrderOnlyRoute:
 
     def test_columns_only_for_distinct_e(self, monkeypatch):
         built = []
-        real = exactdist._divide_columns
+        real = exactdist._divide_column
         monkeypatch.setattr(
-            exactdist, "_divide_columns",
-            lambda n, lengths, columns, last: real(
-                n, lengths, built.extend(columns) or columns, last
-            ),
+            exactdist, "_divide_column",
+            lambda n, lengths, c, last: built.append(c) or real(n, lengths, c, last),
         )
         # 59 is a prime above t = 10, so big: one term, e = 1, no column.
         assert p_exact(60, 59) == Fraction(1, 59)
@@ -315,14 +315,14 @@ class TestOrderOnlyRoute:
 
     def test_columns_stop_at_the_last_key_row(self, monkeypatch):
         built = []
-        real = exactdist._divide_columns
+        real = exactdist._divide_column
 
-        def spy(n, lengths, columns, last):
-            for col in real(n, lengths, columns, last):
-                built.append((last, len(col)))
-                yield col
+        def spy(n, lengths, c, last):
+            col = real(n, lengths, c, last)
+            built.append((last, len(col)))
+            return col
 
-        monkeypatch.setattr(exactdist, "_divide_columns", spy)
+        monkeypatch.setattr(exactdist, "_divide_column", spy)
         # g(120): the walk takes all 120 labels, so its one column is read
         # at row 0 alone.
         assert p_exact(120, landau_g(120)) == _mobius_p(120, landau_g(120))
@@ -377,7 +377,7 @@ class TestOrderOnlyRoute:
 
     def test_budget_fires_before_any_work(self, monkeypatch):
         started = []
-        monkeypatch.setattr(exactdist, "_divide_columns", lambda *a: started.append(a))
+        monkeypatch.setattr(exactdist, "_divide_column", lambda *a: started.append(a))
         monkeypatch.setattr(exactdist, "_trial_factors", lambda *a: started.append(a))
         with pytest.raises(BudgetExceededError, match=f"P_EXACT_MAX_N={P_EXACT_MAX_N}"):
             p_exact(P_EXACT_MAX_N + 1, 2)
@@ -542,12 +542,13 @@ class TestSmallCycleKernel:
             exactdist._small_cycle_table(5, 3)
 
     def test_negative_count_raises(self, monkeypatch):
-        # Columns in the wrong order put L(12) where L(1) belongs, and on
-        # four labels L(12) > L(6): E(2) = L(6) - L(12) < 0.
-        real = exactdist._divide_columns
+        # Columns in the wrong order (the column of 12/d built for d) put
+        # L(12) where L(1) belongs, and on four labels L(12) > L(6):
+        # E(2) = L(6) - L(12) < 0.
+        real = exactdist._divide_column
         monkeypatch.setattr(
-            exactdist, "_divide_columns",
-            lambda n, lengths, columns, last: list(real(n, lengths, columns, last))[::-1],
+            exactdist, "_divide_column",
+            lambda n, lengths, c, last: real(n, lengths, 12 // c, last),
         )
         with pytest.raises(RuntimeError, match="negative count"):
             exactdist._small_cycle_table(6, 4)
@@ -559,6 +560,30 @@ class TestSmallCycleKernel:
         rows = [0, 3, 17, n]
         table = exactdist._small_cycle_table(n, t)
         assert exactdist._lattice_rows(n, lattice, rows) == [table[r] for r in rows]
+
+    def test_table_build_peak_is_near_its_result(self):
+        # Each cut cell is divided back to its count before the inversion,
+        # so the build holds little beyond the table it returns: 1.13x at
+        # n = 100, t = 16, where inverting the scaled columns took 1.40x.
+        tracemalloc.start()
+        try:
+            table = exactdist._small_cycle_table(100, 16)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 101
+        assert peak <= 1.25 * held
+
+    def test_lattice_point_peak_is_one_column(self):
+        # One scaled column at n = 800 is about 0.7 MB; the peak stays
+        # near it, so no second column is alive at any time.
+        tracemalloc.start()
+        try:
+            order_counts_on_lattice(800, factorize(5040))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
 
 # sha256 of repr(sorted(full_pmf(n).entries.items())), frozen from the
