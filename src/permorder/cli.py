@@ -4,9 +4,10 @@ Every subcommand computes rows of results and emits them on stdout in
 one of three formats: an aligned human table (rationals get a companion
 6-significant-digit decimal), CSV, or a single JSON document.  The CSV
 and JSON outputs carry identical numeric content, with exact rationals
-rendered as ``p/q`` strings so values round-trip losslessly.  The JSON
-document is written by `store.to_json` in one pass over the rows; an
-integer outside +-(2**53 - 1) is written there as a decimal string.
+rendered as ``p/q`` strings so values round-trip losslessly, whatever
+their number of digits.  The JSON document is written by `store.to_json`
+in one pass over the rows; an integer outside +-(2**53 - 1) is written
+there as a decimal string.
 Progress and diagnostics go to stderr.
 
 Each subparser carries its handler, which reads the argparse namespace
@@ -64,7 +65,7 @@ from .exactdist import (
 )
 from .numtheory import DivisorLattice, compute_forcing_set, factorize, landau_table
 from .sampler import _pooled, estimate_collision, estimate_p
-from .store import ResultStore, StoreError, frac_str, to_json
+from .store import Ratio, ResultStore, StoreError, frac_str, to_json
 
 __all__ = ["main", "parse_range"]
 
@@ -188,7 +189,7 @@ def _default_cache_dir() -> Path:
 
 
 def _csv_cell(value: Any) -> str:
-    if isinstance(value, Fraction):
+    if isinstance(value, (Fraction, Ratio)):
         return frac_str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -200,7 +201,7 @@ def _csv_cell(value: Any) -> str:
 
 
 def _table_cell(value: Any) -> str:
-    if isinstance(value, Fraction):
+    if isinstance(value, (Fraction, Ratio)):
         return f"{frac_str(value)} ({float(value):.6g})"
     if isinstance(value, (list, tuple)):
         return " ".join(_table_cell(v) for v in value)
@@ -317,8 +318,12 @@ def _cmd_landau(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
 def _cmd_pmf(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
     n = _single_n(args)
     fact = math.factorial(n)
+    gcd = math.gcd
+    # Each count/n! in lowest terms by one gcd, with no Fraction built.  It
+    # stays inline: bench/tracing.py would record a span per row of a helper.
     rows = [
-        {"m": m, "count": str(count), "prob": Fraction(count, fact)}
+        {"m": m, "count": str(count),
+         "prob": Ratio((count // (g := gcd(count, fact)), fact // g))}
         for m, count in full_pmf(n).entries.items()
     ]
     return rows, EXIT_OK
@@ -452,6 +457,10 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[list[dict[str, Any]], int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Python caps int <-> str conversion (4300 digits by default); exact
+    # values are written in full, so the cap is lifted for the output only,
+    # after the arguments were parsed under it, and put back afterwards.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
         args = _build_parser().parse_args(argv)
         lo, hi = parse_range(args.n)
@@ -463,6 +472,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if "cache_dir" in args and args.cache_dir is None:
             args.cache_dir = _default_cache_dir()
         rows, code = args.handler(args)
+        if digits:
+            sys.set_int_max_str_digits(0)
         _emit(args, rows)
         return code
     except BudgetExceededError as exc:
@@ -477,6 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:
         print("resource limit exceeded: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,11 @@ report as one line and `_verdict_report` reads it back, rejecting with
 `to_json` is the package's one JSON encoder.  It writes the verdict
 lines and the checkpoint with sorted keys, and the CLI's JSON documents
 in row order.  It walks the value once and writes the text directly,
-with no converted copy of the value in between.
+with no converted copy of the value in between.  It takes str, int,
+bool, None, float, `Fraction`, `Ratio`, list, tuple and dict with str
+keys, by exact type.  `Ratio` is the pair ``(p, q)`` of a ratio the
+caller has already reduced; it is written as the equal `Fraction` is,
+and costs no `Fraction` to build.
 
 Crash tolerance is deliberately minimal: a write interrupted mid-line
 leaves a torn final record, which ``load`` repairs by truncating the file
@@ -41,6 +45,7 @@ import functools
 import json
 import logging
 import math
+import operator
 import os
 import tempfile
 from fractions import Fraction
@@ -57,6 +62,7 @@ except ImportError:  # not on every platform; the store then runs unlocked
 
 __all__ = [
     "KIND",
+    "Ratio",
     "SCHEMA_VERSION",
     "ResultStore",
     "SchemaVersionError",
@@ -86,7 +92,27 @@ class SchemaVersionError(StoreError):
     """A stored record or checkpoint declares an unsupported schema."""
 
 
-def frac_str(value: Fraction) -> str:
+class Ratio(tuple):
+    """An exact ratio p/q in lowest terms, q > 0, as the pair ``(p, q)``.
+
+    Built as ``Ratio((p, q))`` from a pair the caller has reduced, with no
+    Python code run per instance; nothing checks the pair.  It reads as a
+    `Fraction` does for the writers (``numerator``, ``denominator`` and
+    ``float()``, which divides p by q as ``float(Fraction(p, q))`` does), so
+    `frac_str`, `to_json` and the CLI write it byte for byte as the equal
+    `Fraction`.
+    """
+
+    __slots__ = ()
+
+    numerator = property(operator.itemgetter(0))
+    denominator = property(operator.itemgetter(1))
+
+    def __float__(self) -> float:
+        return self[0] / self[1]
+
+
+def frac_str(value: Fraction | Ratio) -> str:
     """Render a rational as ``numerator/denominator``, always with the slash."""
     return f"{value.numerator}/{value.denominator}"
 
@@ -95,9 +121,12 @@ def to_json(value: Any, *, sort_keys: bool = False) -> str:
     """The compact JSON text of a result value, in one walk over it.
 
     Values are dispatched on their exact type: str, int, bool, None,
-    float, Fraction, list, tuple, and dict with str keys.  Fractions are
-    written as ``"p/q"`` strings and integers outside +-(2**53 - 1) as
-    decimal strings, so that every value survives a round trip exactly.
+    float, Fraction, `Ratio`, list, tuple, and dict with str keys.
+    Fractions and Ratios are written as ``"p/q"`` strings and integers
+    outside +-(2**53 - 1) as decimal strings, so that every value survives
+    a round trip exactly.  An integer past Python's int-to-str digit limit
+    (4300 digits by default) raises ``ValueError`` unless the caller has
+    lifted the limit, as `cli.main` does for its output.
     Any other type, subclasses of these and non-str keys among them,
     raises ``TypeError``.  Strings are escaped to ASCII.  The text is byte
     for byte what ``json.dumps`` with ``separators=(",", ":")`` and the
@@ -127,6 +156,8 @@ def to_json(value: Any, *, sort_keys: bool = False) -> str:
             return str(v) if -_JSON_INT_MAX <= v <= _JSON_INT_MAX else '"%d"' % v
         if t is Fraction:
             return '"%d/%d"' % (v.numerator, v.denominator)
+        if t is Ratio:
+            return '"%d/%d"' % v
         if t is dict:
             return mapping(v)
         if t is list or t is tuple:

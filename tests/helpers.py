@@ -8,9 +8,11 @@ enumeration, definition-level recomputation, textbook recurrences.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -266,3 +268,23 @@ def json_by_conversion(value, sort_keys: bool = False) -> str:
         raise TypeError(f"cannot store value of type {type(value).__name__}")
 
     return json.dumps(convert(value), sort_keys=sort_keys, separators=(",", ":"))
+
+
+@contextlib.contextmanager
+def int_str_digits(limit: int | None = None):
+    """Python's int <-> str digit limit set to ``limit`` inside the block.
+
+    0 lifts the limit and None sets the interpreter's default.  Yields the
+    limit set, or None on a Python that has no limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    before = sys.get_int_max_str_digits()
+    if limit is None:
+        limit = sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield limit
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -9,6 +9,7 @@ determinism.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -31,7 +32,7 @@ from permorder.asymptotics import (
     verify_near_max_form,
 )
 from permorder.cli import main, parse_range
-from permorder.store import ResultStore
+from permorder.store import Ratio, ResultStore, to_json
 
 # sha256 of the log `scan-counterexamples --n 2..30` writes into an empty
 # store: it holds multi-witness rows and counts past 2**53.
@@ -55,6 +56,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default int <-> str digit limit, set for the test.
+
+    None on a Python without the limit.  Setting it keeps the test from
+    reading a limit that an earlier test left lifted.
+    """
+    with helpers.int_str_digits() as limit:
+        yield limit
 
 
 def json_rows(out):
@@ -106,6 +118,15 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("usage error:")
         assert "--m" in err
+
+    def test_n_past_the_int_digit_limit(self, capsys, digit_limit):
+        # --n is parsed under the digit limit, which main lifts only for
+        # the output.
+        if digit_limit is None:
+            pytest.skip("this Python has no int <-> str digit limit")
+        code, out, err = run_cli(capsys, "pmf", "--n", "9" * (digit_limit + 1))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: invalid range")
 
     def test_range_where_single_n_required(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--n", "3..5")
@@ -244,6 +265,35 @@ class TestPmf:
         assert code == 1
         assert "exceed" in err.lower()
 
+    def test_rows_build_no_fraction(self, capsys, monkeypatch):
+        # Each prob is count/n! reduced by one gcd into a Ratio.
+        made = []
+        new = Fraction.__dict__["__new__"].__func__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        code, out, _ = run_cli(capsys, "pmf", "--n", "60", "--format", "json")
+        monkeypatch.undo()
+        assert (code, len(json_rows(out)), made) == (0, 2083, [])
+
+    @pytest.mark.parametrize("fmt", cli._FORMATS)
+    def test_ratio_rows_write_as_fraction_rows(self, capsys, fmt):
+        args = argparse.Namespace(subcommand="pmf", fmt=fmt)
+        for n in range(1, 61):
+            args.n = range(n, n + 1)
+            rows, _ = cli._cmd_pmf(args)
+            assert {type(row["prob"]) for row in rows} == {Ratio}
+            fact = math.factorial(n)
+            cli._emit(args, rows)
+            as_ratios = capsys.readouterr().out
+            cli._emit(args, [
+                {**row, "prob": Fraction(int(row["count"]), fact)} for row in rows
+            ])
+            assert capsys.readouterr().out == as_ratios, n
+
 
 class TestMode:
     def test_spec_example_n5_json(self, capsys):
@@ -327,6 +377,21 @@ class TestEtaCheck:
         assert (code, out) == (2, "")
         assert err == "usage error: need k >= 0, got -1\n"
 
+    def test_values_past_the_int_digit_limit(self, capsys, digit_limit):
+        # The exact value's denominator has 4 882 digits, past the 4 300 to
+        # which Python limits int <-> str conversion by default; main lifts
+        # the limit for the output only and puts it back.
+        for fmt in cli._FORMATS:
+            code, out, err = run_cli(
+                capsys, "eta-check", "--n", "1800", "--k", "2", "--format", fmt
+            )
+            assert (code, err) == (0, ""), fmt
+            if digit_limit is not None:
+                assert sys.get_int_max_str_digits() == digit_limit
+        (row,) = json_rows(out)
+        with helpers.int_str_digits(0):
+            assert Fraction(row["exact"]) == exactdist.p_exact(1800, 1798)
+
     def test_past_point_budget_exits_1(self, capsys):
         # One scaled column at n = 100 000 would hold about 19 GB.
         code, out, err = run_cli(capsys, "eta-check", "--n", "100000")
@@ -337,6 +402,20 @@ class TestEtaCheck:
 
 def _frac(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
+
+
+class TestRatioCells:
+    @pytest.mark.parametrize("p, q", [
+        (1, 1),
+        (2**53 - 1, 2**53 + 1),
+        (3**9300, 2**14700),  # 4 438 and 4 426 digits
+    ], ids=["one", "q past 2**53", "p and q past 4300 digits"])
+    def test_written_as_the_equal_fraction(self, p, q):
+        ratio, frac = Ratio((p, q)), Fraction(p, q)
+        with helpers.int_str_digits(0):
+            for write in (to_json, cli._csv_cell, cli._table_cell):
+                assert write(ratio) == write(frac), write
+                assert write([ratio]) == write([frac]), write
 
 
 class TestVerify:

@@ -33,6 +33,7 @@ from permorder.asymptotics import (
 from permorder.store import (
     KIND,
     SCHEMA_VERSION,
+    Ratio,
     ResultStore,
     SchemaVersionError,
     StoreError,
@@ -157,9 +158,12 @@ class TestToJson:
         class Frac(Fraction):
             pass
 
+        class SubRatio(Ratio):
+            pass
+
         Pair = collections.namedtuple("Pair", "a b")
         bad = [
-            Str("s"), Int(5), Float(0.25), Frac(-3, 4), Pair(1, 2),
+            Str("s"), Int(5), Float(0.25), Frac(-3, 4), SubRatio((-3, 4)), Pair(1, 2),
             collections.OrderedDict([("b", 1)]), collections.defaultdict(list, {"c": 1}),
             {1: "int"}, {"1": "str", True: "bool"}, {1.5: "float"}, {None: "none"},
             {Str("j"): 2}, {"k": {2: None}}, [1, [Int(2)]],
