@@ -6,21 +6,24 @@ with denominator n!; no approximate arithmetic appears anywhere in
 this module.
 
 Exact-order counts rest on divide-counts: L(d), the permutations whose
-cycle lengths all divide d, from a scaled one-state recurrence
-(`_divide_column`), with Moebius inversion over divisors turning them
-into counts of order exactly d.  `p_exact` counts order m alone: it sums
-mu(s) L(m/s) over squarefree s | m.  Cycles up to t =
+cycle lengths all divide d, by peeling the cycle through the largest label
+(`_divide_counts`), with Moebius inversion over divisors turning them
+into counts of order exactly d.  Each column of counts takes the cheaper,
+by an integer estimate of its row cost (`_column_row_cost`), of two exact
+recurrences: the falling-factorial one, which makes no division but
+multiplies by (nu-1)!/(nu-j)! for each length j, and a scaled one, with
+one addition per length and one exact division per row.  Short length
+sets on many labels take the first; long ones, and every column on a few
+labels but the trivial lengths {1}, the second.  `p_exact` counts order m
+alone: it sums mu(s) L(m/s) over squarefree s | m.  Cycles up to t =
 `_small_cycle_limit(n)` are read from one column per term, for e =
-gcd(m/s, lcm(1..t)); for e = 1 the column is n!/r!, built by one
-descending chain of `math.perm` over the rows the walk reads
-(`_falling_products`).  The rest are walked.  m's prime powers above t,
-and those `_plan_split` adds by a work estimate, are cancelled in the
-walk: their primes take no Moebius term, and a walk node counts only if
-its cycles carry every one of them.
+gcd(m/s, lcm(1..t)), at the rows the walk reads; the rest are walked.
+m's prime powers above t, and those `_plan_split` adds by a work
+estimate, are cancelled in the walk: their primes take no Moebius term,
+and a walk node counts only if its cycles carry every one of them.
 One routine, `_lattice_rows`, turns divide-counts into exact-order
-counts over a whole divisor lattice: it runs the recurrence for every
-divisor, keeps the label counts asked for, each divided back by n!/r!
-as the column is cut, and inverts the exact columns
+counts over a whole divisor lattice: it builds every divisor's column at
+the label counts asked for and inverts the exact columns
 (`DivisorLattice.mobius_steps`).  `order_counts_on_lattice` reads its
 row n for the divisors of m.
 The full pmf splits the cycle lengths by whether they divide
@@ -56,10 +59,13 @@ tests/helpers.py.
 Every size limit is a module constant, read when the call is made:
 DEFAULT_MAX_N for the full pmf, everything read off it and `mode`,
 DEFAULT_MAX_SUPPORT for the full pmf and everything read off it,
-P_EXACT_MAX_N for point queries and TAIL_MAX_BITS for the cutoff of
+P_EXACT_MAX_N for point queries, P_EXACT_MAX_WORK for the work that
+`_plan_split` estimates for one count of order m (a point query, or
+`mode`'s count of n - k0), and TAIL_MAX_BITS for the cutoff of
 `tail_max`.  The support budget is checked as the support is
-enumerated, the others before any work.  Raising a budget means
-assigning the constant, e.g. ``exactdist.DEFAULT_MAX_N = 120``.
+enumerated, the work budget as the plan is made, before any column, and
+the others before any work.  Raising a budget means assigning the
+constant, e.g. ``exactdist.DEFAULT_MAX_N = 120``.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ import bisect
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,11 +92,18 @@ from .numtheory import (
 )
 
 DEFAULT_MAX_N = 100
-# p_exact(n, n) took 5.6 s of CPU at n = 5040 and 30 s at n = 10 080, with
-# peak RSS 51 MB and 170 MB, on a 2-vCPU host.  One scaled column holds n + 1
-# ints of about log2(n!) bits, so its memory grows like n^2 log n; at
-# n = 100 000 it would need about 19 GB.
+# p_exact(n, n) took 4.3 s of CPU at n = 5040 and 22 s at n = 10 080, with
+# peak RSS 51 MB and 170 MB, on a 2-vCPU host, with P_EXACT_MAX_WORK lifted
+# (both are refused by it).  One column holds up to n + 1 ints of up to
+# log2(n!) bits, so its memory grows like n^2 log n; at n = 100 000 it
+# would need about 19 GB.
 P_EXACT_MAX_N = 10_000
+# The work `_plan_split` estimates for one count of order m, in its units of
+# about 0.04 ns on a 2-vCPU host: some 0.15 s of work.  The heaviest order
+# of the `points` workload (seeds 1-20), p_exact(772, 770), is estimated at
+# 6.1 * 10^8, tier-1's largest (p_exact(900, 2520)) at 2.7 * 10^9, and m
+# the product of the primes up to 61 on 600 labels at 4.1 * 10^9.
+P_EXACT_MAX_WORK = 35 * 10**8
 DEFAULT_MAX_SUPPORT = 5_000_000
 # tail_max(100, 1/107 141), a cutoff of 749 994 bits, took 0.88 s with
 # full_pmf(100) already cached, on a 2-vCPU host; its 15 powers m**q cost
@@ -165,37 +179,63 @@ def count_lengths_divide(n: int, f: FactoredInt) -> int:
     return w[n]
 
 
-def _divide_column(n: int, lengths: Sequence[int], c: int, last: int) -> list[int]:
-    """The scaled column a[0..last] for the lengths that divide c.
+def _divide_counts(
+    top: int, lengths: Sequence[int], rows: Sequence[int], scales: dict[int, int]
+) -> list[int]:
+    """W(r) at each r in ``rows`` (ascending, up to n), exactly.
 
-    w[nu] counts the permutations of [nu] whose cycle lengths all lie in
-    ``lengths`` (ascending) and divide c.  This is the cycle peeling of
-    `count_lengths_divide` with w[nu] scaled to a[nu] = w[nu] * n!/nu!
-    from a[0] = n!, so that
+    W(r) counts the permutations of [r] whose cycle lengths all lie in
+    ``lengths``, which ascend from 1.  ``top`` = n! and ``scales`` maps
+    each row r to n!/r! (`_falling_products`).  Two exact recurrences peel
+    the cycle through the largest label; `_column_row_cost` picks the
+    cheaper for this column:
 
-        nu * a[nu] = sum over allowed j <= nu of a[nu-j]:
+    - falling-factorial, W(nu) = sum over j in lengths of
+      (nu-1)!/(nu-j)! * W(nu-j), that of `count_lengths_divide`: no
+      division, and W is shorter than nu!, but the multiplier of a long
+      cycle has many digits;
+    - scaled, a[nu] = W(nu) * n!/nu! from a[0] = n!, so that
+      nu * a[nu] = sum over j of a[nu-j]: one addition per length and one
+      division by nu per row, on ints of about log2(n!) bits.  The
+      division is exact because a[nu] is an integer; a remainder means a
+      broken recurrence, and raises.  Row r is a[r] divided back by
+      n!/r!.
 
-    one addition per cell and one division by nu per row, and a[n] = w[n].
-    Rows past ``last`` <= n are not built.  The division is exact because
-    a[nu] is an integer for nu <= n; a remainder means a broken
-    recurrence, and raises.
+    Rows past rows[-1] are not built.
     """
-    js = [j for j in lengths if c % j == 0]
-    a = [math.factorial(n)] + [0] * last
+    last = rows[-1]
+    if _column_row_cost(lengths, last, top.bit_length())[1]:
+        perm = math.perm
+        longer = lengths[1:]
+        # Below the second length only fixed points fit: W = 1 there.
+        w = [1] * (last + 1)
+        for nu in range(longer[0] if longer else last + 1, last + 1):
+            acc = w[nu - 1]
+            ff = 1
+            prev = 1
+            for j in longer:
+                if j > nu:
+                    break
+                ff *= perm(nu - prev, j - prev)
+                prev = j
+                acc += ff * w[nu - j]
+            w[nu] = acc
+        return [w[r] for r in rows]
+    a = [top] + [0] * last
     for nu in range(1, last + 1):
         s = 0
-        for j in js:
+        for j in lengths:
             if j > nu:
                 break
             s += a[nu - j]
         q, rem = divmod(s, nu)
         if rem:
             raise RuntimeError(
-                f"internal inconsistency at n={n}: "
-                f"scaled row {nu} is not divisible by {nu}"
+                f"internal inconsistency: scaled row {nu} of the column "
+                f"for lengths {list(lengths)} is not divisible by {nu}"
             )
         a[nu] = q
-    return a
+    return [a[r] // scales[r] for r in rows]
 
 
 def _lattice_rows(
@@ -208,21 +248,19 @@ def _lattice_rows(
     permutations whose cycle lengths all divide d, is the sum of the
     exact-order counts E(d') over d' | d, so Moebius inversion over the
     lattice (`DivisorLattice.mobius_steps`) turns L into E.
-    `_divide_column` gives each divisor's column of L, with the divisors
-    up to n as cycle lengths and row r scaled by n!/r!.  Each column is
-    cut to the rows asked for, and each kept cell is divided back by
-    n!/r! (`_falling_products`) as it is cut, so the inversion runs on
-    exact counts.  A negative count means an inconsistent column, and
-    raises.
+    `_divide_counts` gives each divisor's column of L at the rows asked
+    for, exact, with the divisors up to n as cycle lengths, so the
+    inversion runs on exact counts.  A negative count means an
+    inconsistent column, and raises.
     """
     divisors = lattice.divisors
     lengths = [d for d in divisors if d <= n]
+    top = math.factorial(n)
     scales = _falling_products(n, rows)
-
-    def cut(col: list[int]) -> list[int]:
-        return [col[r] // scales[r] for r in rows]
-
-    cols = [cut(_divide_column(n, lengths, d, rows[-1])) for d in divisors]
+    cols = [
+        _divide_counts(top, [j for j in lengths if d % j == 0], rows, scales)
+        for d in divisors
+    ]
     for i, k in lattice.mobius_steps():
         cols[i] = [a - b for a, b in zip(cols[i], cols[k])]
     out = []
@@ -282,19 +320,51 @@ def count_order_exactly_mobius(n: int, f: FactoredInt) -> int:
 
 
 # The work estimate that picks `_count_order`'s split, in units of one bit of
-# a bigint addition; b = log2(n!) bits is the size of a scaled row.  A column
-# row costs |J_e| additions and a divmod by nu, plus interpreter steps.  A
-# walk node is walked twice and divides a scaled row by its weight of w
-# bits.  A key takes one addition per Moebius term.  Least squares on
-# relative error, over the `points` orders (n = 201..800, 560 columns and
-# 386 walks), gave 0.056 ns per unit, a row 3 b + 3600 units and a node
-# 5 b + b w / 18 + 47 000, on a 2-vCPU host.
-_ROW_DIVISION_WEIGHT = 3
-_ROW_STEP = 3600
-_NODE_WEIGHT = 5
-_NODE_WEIGHT_BITS = 18
-_NODE_STEP = 47_000
+# a bigint addition; b = log2(n!) bits.  A scaled column row makes |J|
+# additions and a divmod by nu on ints of b bits, each with its interpreter
+# steps.  A falling-factorial row makes, for each length j > 1, a product
+# by a multiplier of d_j digits on ints shorter than n!, plus steps.  A
+# walk node is walked twice and divides its key's sum of about b bits by
+# its weight of w bits.  A key takes one addition per Moebius term and one
+# product by n!/r!.  The walk's need table costs a step per cell.  Least
+# squares on relative error, over the `points` orders of seeds 1-6
+# (n = 201..800) and `mode`'s counts of n - k0 at n = 3..60 and 121..150
+# (about 870 columns timed on both recurrences, 388 walks), gave about
+# 0.04 ns per unit on a 2-vCPU host: a scaled row (|J| + 4)(b + 1 000)
+# units, a falling-factorial row b sum d_j / 3 + 3 600 |J|, a node
+# 3 b + b w / 9 + 35 000, a key (terms + 22) b and a need cell 4 000 (the
+# rate of the large tables; a small one costs more per cell).
+_ROW_DIVISION_WEIGHT = 4
+_ROW_STEP = 1000
+_DIGIT_SHARE = 3
+_FALLING_STEP = 3600
+_NODE_WEIGHT = 3
+_NODE_WEIGHT_BITS = 9
+_NODE_STEP = 35_000
+_KEY_WEIGHT = 22
+_NEED_CELL = 4000
 _PLAN_MARGIN = 4
+
+
+def _column_row_cost(lengths: Sequence[int], last: int, bits: int) -> tuple[int, bool]:
+    """Estimated work of one column row, and whether it is falling-factorial.
+
+    ``lengths`` ascend from 1, the column runs to row ``last`` <= n, and
+    ``bits`` = log2(n!).  A scaled row makes |J| additions and one
+    division on ints of ``bits`` bits.  A falling-factorial row makes no
+    division, and its ints are shorter, but for each length j > 1 it
+    multiplies by (nu-1)!/(nu-j)!, a product of j - 1 factors below last,
+    at a cost that grows with that multiplier's digits: counted together,
+    the sum over j > 1 of 1 + (j - 1) w / D, w the bit length of last - 1
+    and D the bits of an int digit.  The cheaper of the two is the
+    column's.
+    """
+    k = len(lengths)
+    width = max(last - 1, 1).bit_length()
+    digits = k - 1 + (sum(lengths) - k) * width // sys.int_info.bits_per_digit
+    scaled = (k + _ROW_DIVISION_WEIGHT) * (bits + _ROW_STEP)
+    falling = digits * bits // _DIGIT_SHARE + _FALLING_STEP * k
+    return (falling, True) if falling < scaled else (scaled, False)
 
 
 class _Split:
@@ -445,33 +515,60 @@ def _plan_split(
 
     t = `_small_cycle_limit(n)` clipped to n.  The candidates keep every
     prime power <= t small, then move them into the walk one at a time,
-    largest first: each halves the columns and grows the walk.  The work
-    estimate, in integers only, charges each column n rows of |J_e|
-    additions and a division of ``bits`` = log2(n!) bits, with J_e the
-    lengths <= t dividing e, and each node and key of the walk a weight.
-    The walk is counted, without its divisions, only while the candidate
-    can still win.  The search stops at the first candidate whose estimate
-    does not fall.
+    largest first: each halves the columns and grows the walk.
+    ``divisors`` are m's divisors up to n, ascending, and ``bits`` =
+    log2(n!).  The work estimate, in integers only, charges each column
+    its rows up to n minus the big q, at the cost `_column_row_cost` gives
+    its lengths J_e, the lengths <= t dividing e; the walk's table
+    ``need``, at most (divisors up to n) * 2^(big q) cells; and each node
+    and key of the walk a weight.  The walk is counted, without its
+    divisions, only while the candidate can still win.  The search stops
+    at the first candidate whose estimate does not fall.
+
+    A candidate whose estimate reaches P_EXACT_MAX_WORK is not taken: its
+    walk is counted no further, and one whose columns alone reach it is
+    not enumerated.  If no candidate comes in under it,
+    `BudgetExceededError` is raised, before any column is built.
     """
     m = f.value
     t = min(_small_cycle_limit(n), n)
     short = [j for j in divisors if j <= t]
     pqs = sorted(((p, p**a) for p, a in f.factors), key=operator.itemgetter(1))
     node_cost = _NODE_WEIGHT * bits + _NODE_STEP
-    best = best_cost = best_keys = None
-    for n_small in range(sum(q <= t for _, q in pqs), -1, -1):
+    top = sum(q <= t for _, q in pqs)
+    # Each column's cost a row, by e (the candidates share many e), and
+    # that of the cheapest column, of the lengths {1}.
+    row_costs: dict[int, int] = {}
+    least_row = _column_row_cost((1,), n, bits)[0]
+    best = best_keys = None
+    best_cost = P_EXACT_MAX_WORK
+    for n_small in range(top, -1, -1):
         small, big = tuple(pqs[:n_small]), tuple(pqs[n_small:])
-        terms = _moebius_terms(m, t, small, big)
-        cost = sum(
-            n * ((sum(e % j == 0 for j in short) + _ROW_DIVISION_WEIGHT) * bits + _ROW_STEP)
-            for _, _, e in terms
-            if e != 1
-        )
         # Walking a candidate to count its nodes takes time of its own, so
-        # it is walked only if its least walk leaves a quarter to save.
-        if best is not None and cost + _least_walk_cost(
-            n, divisors, big, bits
-        ) >= best_cost - best_cost // _PLAN_MARGIN:
+        # once one is taken, another is walked only if its least walk
+        # leaves a quarter to save.
+        bound = best_cost if best is None else best_cost - best_cost // _PLAN_MARGIN
+        # A node that counts holds cycles carrying each big q, at least q
+        # labels apiece, so no key row passes n minus their sum.
+        last = n - sum(q for _, q in big)
+        cost = _NEED_CELL * (len(divisors) << len(big))
+        if cost + (last * least_row << n_small) >= bound:
+            if best is None:
+                continue
+            break
+        terms = _moebius_terms(m, t, small, big)
+        for _, _, e in terms:
+            if e not in row_costs:
+                js = [j for j in short if e % j == 0]
+                row_costs[e] = _column_row_cost(js, n, bits)[0]
+            cost += last * row_costs[e]
+        if n_small < top:
+            least_walk = _least_walk_cost(n, divisors, big, bits)
+        else:
+            least_walk = node_cost
+        if cost + least_walk >= bound:
+            if best is None:
+                continue
             break
         split = _Split(n, divisors, t, small, big, terms)
         keys = set()
@@ -479,13 +576,19 @@ def _plan_split(
             cost += node_cost + bits * weight.bit_length() // _NODE_WEIGHT_BITS
             if key not in keys:
                 keys.add(key)
-                cost += len(terms) * bits
-            if best is not None and cost >= best_cost:
+                cost += (len(terms) + _KEY_WEIGHT) * bits
+            if cost >= best_cost:
                 break
         else:
             best, best_cost, best_keys = split, cost, keys
             continue
-        break
+        if best is not None:
+            break
+    if best is None:
+        raise BudgetExceededError(
+            f"p_exact(n={n}, m={m}): estimated work exceeds "
+            f"P_EXACT_MAX_WORK={P_EXACT_MAX_WORK}"
+        )
     return best, best_keys
 
 
@@ -506,8 +609,28 @@ def _falling_products(n: int, rows: Iterable[int]) -> dict[int, int]:
     return out
 
 
+def _divisors_up_to(f: FactoredInt, top: int) -> list[int]:
+    """The divisors of f.value up to ``top``, ascending.
+
+    Only these can be cycle lengths on ``top`` labels, and there are at
+    most ``top`` of them, however many divisors f.value has.
+    """
+    divs = [1]
+    for p, e in f.factors:
+        more = []
+        for d in divs:
+            for _ in range(e):
+                d *= p
+                if d > top:
+                    break
+                more.append(d)
+        divs += more
+    divs.sort()
+    return divs
+
+
 def _add_term(
-    signed: dict[int, int], n_small: int, bits: int, sign: int, col: Sequence[int]
+    signed: dict[int, int], n_small: int, bits: int, sign: int, col: dict[int, int]
 ) -> None:
     """Add sign * col[r] at each key (r, C) of ``signed`` with C disjoint from ``bits``."""
     for key in signed:
@@ -520,14 +643,13 @@ def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
 
     f_n = n!, which the caller holds already.  E(m) = sum over squarefree s | m of mu(s) * L(m/s), with L(d) the
     permutations whose cycle lengths all divide d.  The cycles split at t
-    = `_small_cycle_limit(n)`: short ones (<= t) are read from a scaled
-    column of `_divide_column`, a_e[r] = W_e(r) * n!/r! with W_e(r) the
-    permutations of [r] whose lengths are <= t and divide e, and the rest
-    are walked.  For e = 1 only fixed points are short and a_e[r] = n!/r!,
-    with no recurrence: `_falling_products` builds it for the key rows
-    alone.  A walk node that leaves r labels over, with weight
+    = `_small_cycle_limit(n)`: short ones (<= t) are read from a column of
+    `_divide_counts`, W_e(r) the permutations of [r] whose lengths are
+    <= t and divide e, at the rows r the walk reads, and the rest are
+    walked.  For e = 1 only fixed points are short: the lengths {1} and
+    W_e(r) = 1.  A walk node that leaves r labels over, with weight
     prod(j^c * c!), holds n!/(weight * r!) layouts of its cycles, times
-    W_e(r): that is a_e[r] / weight.
+    W_e(r).
 
     A prime power q = p^a of m that no short cycle reaches (q > t) gives
     the terms of s and s * p the same column, so they cancel on every
@@ -537,25 +659,25 @@ def _count_order(n: int, f: FactoredInt, f_n: int) -> int:
     small q alone, and a node counts only when its cycles carry every big
     q.  A node whose cycles carry the small q in C counts for every s
     disjoint from C, so the columns are summed, one at a time
-    (`_add_term`), into sum over s disjoint from C of mu(s) a_{e(s)}[r]
-    at each key (r, C) of the walk, and each node divides its key's sum
-    by its weight.  A remainder raises, and so does a count below 1,
+    (`_add_term`), into sum over s disjoint from C of mu(s) W_{e(s)}[r]
+    at each key (r, C) of the walk.  Each key's sum is scaled once by
+    n!/r! (`_falling_products`), and each node divides its key's scaled
+    sum by its weight.  A remainder raises, and so does a count below 1,
     since m must be achievable.
     """
     m = f.value
-    divisors = DivisorLattice(f).divisors
+    divisors = _divisors_up_to(f, n)
     split, keys = _plan_split(n, f, divisors, f_n.bit_length())
     n_small = len(split.small)
-    rows = {key >> n_small for key in keys}
-    falling = _falling_products(n, rows) if split.terms[-1][2] == 1 else None
+    rows = sorted({key >> n_small for key in keys})
+    scales = _falling_products(n, rows)
     short = [j for j in divisors if j <= split.t]
-    last = max(rows)
     signed = dict.fromkeys(keys, 0)
     for bits, sign, e in split.terms:
-        _add_term(
-            signed, n_small, bits, sign,
-            falling if e == 1 else _divide_column(n, short, e, last),
-        )
+        counts = _divide_counts(f_n, [j for j in short if e % j == 0], rows, scales)
+        _add_term(signed, n_small, bits, sign, dict(zip(rows, counts)))
+    for key in signed:
+        signed[key] *= scales[key >> n_small]
     count = 0
     for key, weight in split.nodes(n):
         q, rem = divmod(signed[key], weight)
@@ -577,10 +699,11 @@ def p_exact(n: int, m: int) -> Fraction:
 
     Only order m is counted (`_count_order`): the sum of mu(s) L(m/s) over
     squarefree s | m, split between one walk over long cycles, which
-    cancels the terms of m's big prime powers, and one scaled column of
+    cancels the terms of m's big prime powers, and one column of at most
     n + 1 ints per remaining term, each released before the next is
     built.  An n above P_EXACT_MAX_N raises `BudgetExceededError` before
-    any work is done.
+    any work is done, and so does a plan whose estimated work exceeds
+    P_EXACT_MAX_WORK, before any column is built.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -372,6 +372,13 @@ class TestEtaCheck:
         assert [r["n"] for r in rows] == [3, 4, 5]
         assert rows[0]["predicted"] == "1/3"
 
+    def test_past_work_budget_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(exactdist, "P_EXACT_MAX_WORK", 10**6)
+        code, out, err = run_cli(capsys, "eta-check", "--n", "725", "--k", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("resource limit exceeded:")
+        assert "P_EXACT_MAX_WORK=1000000" in err
+
     def test_negative_k_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "eta-check", "--n", "3..5", "--k", "-1")
         assert (code, out) == (2, "")

@@ -11,6 +11,7 @@ import functools
 import hashlib
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from permorder.asymptotics import verify_mode_location, verify_near_max_form
 from permorder.exactdist import (
     DEFAULT_MAX_N,
     P_EXACT_MAX_N,
+    P_EXACT_MAX_WORK,
     TAIL_MAX_BITS,
     BudgetExceededError,
     brute_force_joint,
@@ -139,12 +141,31 @@ class TestLatticeCounts:
         assert vec.count_for(m) == count_order_exactly_mobius(n, factorize(m))
 
     def test_inexact_division_raises(self, monkeypatch):
-        # A start row of n! + 1 instead of n! makes the scaled rows stop
-        # being divisible; the DP must refuse rather than round.
+        # A start row of 5! + 1 instead of 5! makes the scaled rows stop
+        # being divisible; the DP must refuse rather than round.  The
+        # column of d = 2 takes the scaled recurrence at 5 labels (that of
+        # d = 1, the lengths {1}, has no division).
+        assert not exactdist._column_row_cost([1, 2], 5, math.factorial(5).bit_length())[1]
         real = math.factorial
         monkeypatch.setattr(exactdist.math, "factorial", lambda k: real(k) + 1)
         with pytest.raises(RuntimeError, match="not divisible"):
-            order_counts_on_lattice(5, factorize(1))
+            order_counts_on_lattice(5, factorize(2))
+
+
+def _swapped_columns(m: int, n: int):
+    """A stand-in for `_divide_counts` that builds the column of m/d for d.
+
+    A column's lengths are the divisors of its d up to n labels, and their
+    lcm is d when every prime power of d is at most n.
+    """
+    real = exactdist._divide_counts
+    lengths = [j for j in DivisorLattice(factorize(m)).divisors if j <= n]
+
+    def swapped(top, js, rows, scales):
+        d = m // math.lcm(*js)
+        return real(top, [j for j in lengths if d % j == 0], rows, scales)
+
+    return swapped
 
 
 class TestDivideCountRoute:
@@ -152,22 +173,55 @@ class TestDivideCountRoute:
 
     @pytest.mark.parametrize("n, m", [(0, 12), (1, 6), (2, 12), (30, 360), (97, 2310)])
     def test_divide_counts_match_inclusion_exclusion(self, n, m):
-        # L(d) is the last row of d's scaled column.
+        # L(d) is row n of d's column.
         divisors = DivisorLattice(factorize(m)).divisors
         lengths = [d for d in divisors if d <= n]
-        assert [exactdist._divide_column(n, lengths, d, n)[n] for d in divisors] == [
-            count_lengths_divide(n, factorize(d)) for d in divisors
-        ]
+        top = math.factorial(n)
+        assert [
+            exactdist._divide_counts(top, [j for j in lengths if d % j == 0], [n], {n: 1})
+            for d in divisors
+        ] == [[count_lengths_divide(n, factorize(d))] for d in divisors]
+
+    @pytest.mark.parametrize("m", [360, 770, 2310, 720720])
+    def test_both_recurrences_agree(self, monkeypatch, m):
+        # For each d | m, the column of the divisors of d up to 300 labels,
+        # built by each recurrence in turn, at every row up to 300; row 300
+        # is L(d) by inclusion-exclusion's own recursion.
+        n = 300
+        top = math.factorial(n)
+        rows = list(range(n + 1))
+        scales = exactdist._falling_products(n, rows)
+        lengths = [j for j in DivisorLattice(factorize(m)).divisors if j <= n]
+        for d in DivisorLattice(factorize(m)).divisors:
+            js = [j for j in lengths if d % j == 0]
+            cols = []
+            for falling in (False, True):
+                monkeypatch.setattr(
+                    exactdist, "_column_row_cost", lambda *a, falling=falling: (0, falling)
+                )
+                cols.append(exactdist._divide_counts(top, js, rows, scales))
+            assert cols[0] == cols[1], d
+            assert cols[0][n] == count_lengths_divide(n, factorize(d)), d
+
+    def test_points_order_takes_both_recurrences(self, monkeypatch):
+        # 770 = 2 * 5 * 7 * 11 on 771 labels: the short length sets take the
+        # falling-factorial recurrence, the long ones the scaled one.
+        picked = []
+        real = exactdist._divide_counts
+
+        def spy(top, lengths, rows, scales):
+            picked.append(exactdist._column_row_cost(lengths, rows[-1], top.bit_length())[1])
+            return real(top, lengths, rows, scales)
+
+        monkeypatch.setattr(exactdist, "_divide_counts", spy)
+        assert p_exact(771, 770) == _mobius_p(771, 770)
+        assert len(picked) == 16 and set(picked) == {False, True}
 
     def test_negative_count_raises(self, monkeypatch):
         # Columns in the wrong order (the column of 12/d built for d) put
         # L(6) where L(2) belongs and L(12) where L(1) does, and on six
         # labels L(12) > L(6): E(2) < 0.
-        real = exactdist._divide_column
-        monkeypatch.setattr(
-            exactdist, "_divide_column",
-            lambda n, lengths, c, last: real(n, lengths, 12 // c, last),
-        )
+        monkeypatch.setattr(exactdist, "_divide_counts", _swapped_columns(12, 6))
         with pytest.raises(RuntimeError, match="negative count"):
             order_counts_on_lattice(6, factorize(12))
 
@@ -235,6 +289,17 @@ class TestPExact:
             p_exact(3, 0)
 
 
+def _first_primes_product(n: int) -> int:
+    """The product of the first primes whose sum is at most n."""
+    m, total = 1, 0
+    for p in numtheory.primes_up_to(n):
+        if total + p > n:
+            break
+        total += p
+        m *= p
+    return m
+
+
 def _mobius_p(n: int, m: int) -> Fraction:
     return Fraction(count_order_exactly_mobius(n, factorize(m)), math.factorial(n))
 
@@ -281,19 +346,26 @@ class TestOrderOnlyRoute:
         assert digest == P_EXACT_DIGESTS[n]
 
     def test_columns_only_for_distinct_e(self, monkeypatch):
+        # A column's lengths are the divisors of its e up to t, and every
+        # prime power of e is at most t, so their lcm is e.
         built = []
-        real = exactdist._divide_column
+        real = exactdist._divide_counts
         monkeypatch.setattr(
-            exactdist, "_divide_column",
-            lambda n, lengths, c, last: built.append(c) or real(n, lengths, c, last),
+            exactdist, "_divide_counts",
+            lambda top, lengths, rows, scales: (
+                built.append(math.lcm(*lengths)) or real(top, lengths, rows, scales)
+            ),
         )
-        # 59 is a prime above t = 10, so big: one term, e = 1, no column.
+        # 59 is a prime above t = 10, so big: one term, e = 1, whose column
+        # has the lengths {1} alone.
         assert p_exact(60, 59) == Fraction(1, 59)
-        assert built == []
-        # 120 = 2^3 * 3 * 5 at t = 20: all three small, and every d = 120/s
-        # has e = d, so 2^3 columns, not the 16 divisors of 120.
+        assert built == [1]
+        built.clear()
+        # 120 = 2^3 * 3 * 5 at t = 20: the walk takes 8, and every
+        # d = 60/s for s | 15 has e = d, so 2^2 columns, not the 16 divisors
+        # of 120.
         p_exact(120, 120)
-        assert sorted(built) == [4, 8, 12, 20, 24, 40, 60, 120]
+        assert sorted(built) == [4, 12, 20, 60]
         # 64 at t = 10 is big: one term, d = 64/2, e = gcd(32, lcm(1..10)).
         built.clear()
         p_exact(64, 64)
@@ -307,31 +379,36 @@ class TestOrderOnlyRoute:
         built.clear()
         p_exact(651, 650)
         assert sorted(built) == [5, 10, 65, 130]
-        # g(120) = 2^4 * 3^2 * 5 * 7 * ... * 23: the walk takes every prime
-        # power, and the one term's short cycles divide 2^3 * 3 = 24.
+        # g(120) = 2^4 * 3^2 * 5 * 7 * ... * 23: the walk takes 13, 16, 17,
+        # 19 and 23, and the terms run over 3, 5, 7 and 11: 2^4 columns, one
+        # for each distinct e | 2^3 * 3^2 * 5 * 7 * 11.
         built.clear()
         p_exact(120, landau_g(120))
-        assert built == [24]
+        assert len(built) == 16 and len(set(built)) == 16
+        assert all(27720 % e == 0 and e % 24 == 0 for e in built)
 
     def test_columns_stop_at_the_last_key_row(self, monkeypatch):
         built = []
-        real = exactdist._divide_column
+        real = exactdist._divide_counts
 
-        def spy(n, lengths, c, last):
-            col = real(n, lengths, c, last)
-            built.append((last, len(col)))
+        def spy(top, lengths, rows, scales):
+            col = real(top, lengths, rows, scales)
+            built.append((list(rows), len(col), sorted(scales)))
             return col
 
-        monkeypatch.setattr(exactdist, "_divide_column", spy)
-        # g(120): the walk takes all 120 labels, so its one column is read
-        # at row 0 alone.
-        assert p_exact(120, landau_g(120)) == _mobius_p(120, landau_g(120))
-        assert built == [(0, 1)]
+        monkeypatch.setattr(exactdist, "_divide_counts", spy)
+        # 64 on 64 labels: the walk's one node is a 64-cycle, so the one
+        # column is read at row 0 alone.
+        assert p_exact(64, 64) == _mobius_p(64, 64)
+        assert built == [([0], 1, [0])]
         # 724 = 4 * 181 on 725 labels: a node that counts holds a cycle of
         # 181 or 362 or 724 labels, so no key row passes 725 - 181 = 544.
         built.clear()
         assert p_exact(725, 724) == _mobius_p(725, 724)
-        assert built and all(last <= 544 and size == last + 1 for last, size in built)
+        assert built and all(
+            rows[-1] <= 544 and size == len(rows) and scaled == rows
+            for rows, size, scaled in built
+        )
 
     @given(st.integers(min_value=100, max_value=900), st.data())
     @settings(max_examples=8, deadline=None)
@@ -377,7 +454,7 @@ class TestOrderOnlyRoute:
 
     def test_budget_fires_before_any_work(self, monkeypatch):
         started = []
-        monkeypatch.setattr(exactdist, "_divide_column", lambda *a: started.append(a))
+        monkeypatch.setattr(exactdist, "_divide_counts", lambda *a: started.append(a))
         monkeypatch.setattr(exactdist, "_trial_factors", lambda *a: started.append(a))
         with pytest.raises(BudgetExceededError, match=f"P_EXACT_MAX_N={P_EXACT_MAX_N}"):
             p_exact(P_EXACT_MAX_N + 1, 2)
@@ -388,6 +465,33 @@ class TestOrderOnlyRoute:
     def test_budget_edge_is_served(self):
         # m = 1 has e = 1 alone: no column, one walk node, n!/n! = 1.
         assert p_exact(P_EXACT_MAX_N, 1) == Fraction(1, math.factorial(P_EXACT_MAX_N))
+
+    def test_work_budget_refuses_before_any_column(self, monkeypatch):
+        # m the product of the first primes whose sum is at most 600 has
+        # 2^19 squarefree divisors; its plan is refused in milliseconds,
+        # before a column is built.
+        built = []
+        real = exactdist._divide_counts
+        monkeypatch.setattr(
+            exactdist, "_divide_counts", lambda *a: built.append(a) or real(*a)
+        )
+        m = _first_primes_product(600)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=f"P_EXACT_MAX_WORK={P_EXACT_MAX_WORK}"):
+            p_exact(600, m)
+        assert time.perf_counter() - start < 0.1
+        assert built == []
+        # A lowered budget refuses a cheap order the same way.
+        monkeypatch.setattr(exactdist, "P_EXACT_MAX_WORK", 10**6)
+        with pytest.raises(BudgetExceededError, match="P_EXACT_MAX_WORK=1000000"):
+            p_exact(60, 44)
+        assert built == []
+
+    def test_heaviest_points_order_fits_a_quarter_of_the_budget(self, monkeypatch):
+        # 770 = 2 * 5 * 7 * 11 on 772 labels has the largest estimate among
+        # the point queries of the benchmark's `points` workload.
+        monkeypatch.setattr(exactdist, "P_EXACT_MAX_WORK", P_EXACT_MAX_WORK // 4)
+        assert p_exact(772, 770) > 0
 
     def test_inexact_weight_raises(self, monkeypatch):
         # n!/r! + 1 for e = 1 leaves the 59-cycle's node, on one label left,
@@ -545,11 +649,7 @@ class TestSmallCycleKernel:
         # Columns in the wrong order (the column of 12/d built for d) put
         # L(12) where L(1) belongs, and on four labels L(12) > L(6):
         # E(2) = L(6) - L(12) < 0.
-        real = exactdist._divide_column
-        monkeypatch.setattr(
-            exactdist, "_divide_column",
-            lambda n, lengths, c, last: real(n, lengths, 12 // c, last),
-        )
+        monkeypatch.setattr(exactdist, "_divide_counts", _swapped_columns(12, 6))
         with pytest.raises(RuntimeError, match="negative count"):
             exactdist._small_cycle_table(6, 4)
 
