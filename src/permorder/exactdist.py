@@ -449,8 +449,8 @@ class _Split:
 
 def _moebius_terms(
     m: int, t: int, small: Sequence[tuple[int, int]], big: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, int, int], ...]:
-    """(s bits, mu(s), e) for each squarefree s over the primes of ``small``.
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (s bits, mu(s), e) for each squarefree s over the primes of ``small``.
 
     Bit b of s stands for the prime of small[b].  The column of term s
     counts the short cycles that divide m/s and carry no big q, that is
@@ -459,7 +459,6 @@ def _moebius_terms(
     """
     big_l = lcm_range(t)
     base = m // math.prod(p for p, _ in big)
-    out = []
     for bits in range(1 << len(small)):
         sign = 1
         d = base
@@ -467,8 +466,7 @@ def _moebius_terms(
             if bits >> b & 1:
                 sign = -sign
                 d //= p
-        out.append((bits, sign, math.gcd(d, big_l)))
-    return tuple(out)
+        yield bits, sign, math.gcd(d, big_l)
 
 
 def _least_walk_cost(
@@ -485,8 +483,6 @@ def _least_walk_cost(
     floor(log2(q * i)) bits.
     """
     node_cost = _NODE_WEIGHT * bits + _NODE_STEP
-    if not big:
-        return node_cost
     qs = sorted(q for _, q in big)
     q = qs[0]
     step = qs[1] if len(qs) > 1 else n + 1
@@ -526,8 +522,9 @@ def _plan_split(
     at the first candidate whose estimate does not fall.
 
     A candidate whose estimate reaches P_EXACT_MAX_WORK is not taken: its
-    walk is counted no further, and one whose columns alone reach it is
-    not enumerated.  If no candidate comes in under it,
+    Moebius terms are costed, and its walk counted, no further, and one
+    whose columns alone must reach it is not enumerated.  If no candidate
+    comes in under it,
     `BudgetExceededError` is raised, before any column is built.
     """
     m = f.value
@@ -556,21 +553,29 @@ def _plan_split(
             if best is None:
                 continue
             break
-        terms = _moebius_terms(m, t, small, big)
-        for _, _, e in terms:
+        # The terms are costed as they are made: the cost only grows, so
+        # the candidate is dropped at the first that takes it to the bound.
+        terms = []
+        least_walk = 0
+        for term in _moebius_terms(m, t, small, big):
+            e = term[2]
             if e not in row_costs:
                 js = [j for j in short if e % j == 0]
                 row_costs[e] = _column_row_cost(js, n, bits)[0]
             cost += last * row_costs[e]
-        if n_small < top:
-            least_walk = _least_walk_cost(n, divisors, big, bits)
+            if cost >= bound:
+                break
+            terms.append(term)
         else:
-            least_walk = node_cost
+            if n_small < top:
+                least_walk = _least_walk_cost(n, divisors, big, bits)
+            else:
+                least_walk = node_cost
         if cost + least_walk >= bound:
             if best is None:
                 continue
             break
-        split = _Split(n, divisors, t, small, big, terms)
+        split = _Split(n, divisors, t, small, big, tuple(terms))
         keys = set()
         for key, weight in split.nodes(n):
             cost += node_cost + bits * weight.bit_length() // _NODE_WEIGHT_BITS

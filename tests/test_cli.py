@@ -206,6 +206,15 @@ class TestKn:
         assert code == 0
         assert [r["n"] for r in json_rows(out)] == [2, 3, 4, 5]
 
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch):
+        def exhausted(n):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "compute_forcing_set", exhausted)
+        code, out, err = run_cli(capsys, "kn", "--n", "10")
+        assert (code, out) == (1, "")
+        assert err == "resource limit exceeded: out of memory\n"
+
 
 class TestLandau:
     def test_small_values(self, capsys):
@@ -626,6 +635,23 @@ class TestScanCounterexamples:
                 "--cache-dir", str(flag_dir))
         assert not env_dir.exists() or ResultStore(env_dir).load() == []
         assert ResultStore(flag_dir).load() != []
+
+    @pytest.mark.parametrize("xdg, store_dir", [
+        ("xdg", "xdg/permorder"), (None, "home/.cache/permorder"),
+    ], ids=["xdg-cache-home", "home"])
+    def test_default_cache_dir_without_env_var(self, capsys, tmp_path, monkeypatch,
+                                                xdg, store_dir):
+        # Without PERMORDER_CACHE_DIR the store is under $XDG_CACHE_HOME,
+        # else under ~/.cache.
+        monkeypatch.delenv("PERMORDER_CACHE_DIR", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / xdg))
+        code, _, _ = run_cli(capsys, "scan-counterexamples", "--n", "3..4")
+        assert code == 0
+        assert ResultStore(tmp_path / store_dir).load() != []
 
     @pytest.mark.parametrize("bad_line", ["{broken", "{}"])
     def test_mid_log_corruption_is_store_error(self, capsys, tmp_path, bad_line):

@@ -487,6 +487,19 @@ class TestOrderOnlyRoute:
             p_exact(60, 44)
         assert built == []
 
+    def test_refused_plan_costs_terms_only_up_to_the_budget(self, monkeypatch):
+        # Each candidate of the order above has up to 2^19 Moebius terms;
+        # its columns are costed only until they reach the budget, so the
+        # planner's work does not grow with the terms it never needs.
+        costed = []
+        real = exactdist._column_row_cost
+        monkeypatch.setattr(
+            exactdist, "_column_row_cost", lambda *a: costed.append(a) or real(*a)
+        )
+        with pytest.raises(BudgetExceededError):
+            p_exact(600, _first_primes_product(600))
+        assert len(costed) <= 1000
+
     def test_heaviest_points_order_fits_a_quarter_of_the_budget(self, monkeypatch):
         # 770 = 2 * 5 * 7 * 11 on 772 labels has the largest estimate among
         # the point queries of the benchmark's `points` workload.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -508,6 +509,38 @@ class TestChiSquare:
         b = chi_square_vs_exact(4, trials=10_000, seed=SEED)
         assert a == b
         assert isinstance(a, ChiSquareResult)
+
+    def test_runs_without_scipy(self, monkeypatch):
+        # Criterion 7's runs, with scipy unimportable: the statistic, dof
+        # and verdict that scipy's chi2.sf gave, and its p-value to 1e-12.
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        expected = {
+            3: (120_000, 0.28704166666666664, 2, 0.8663027520252431),
+            5: (120_000, 2.5696233333333334, 5, 0.7659750873550072),
+            8: (220_000, 3.933311021330218, 10, 0.950305286855497),
+        }
+        for n, (trials, statistic, dof, p_value) in expected.items():
+            res = chi_square_vs_exact(n, trials, SEED)
+            assert (res.statistic, res.dof, res.passed) == (statistic, dof, True)
+            assert res.p_value == pytest.approx(p_value, rel=1e-12, abs=0)
+
+
+class TestChiSquareTail:
+    def test_matches_scipy(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        xs = [i / 10 for i in range(2001)]  # 0 to 200
+        worst = max(
+            abs(sampler._chi2_sf(x, dof) - ref) / ref
+            for dof in range(1, 41)
+            for x, ref in zip(xs, chi2.sf(xs, dof).tolist())
+            if ref > 1e-300
+        )
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 7.5, 60.0, 1400.0])
+    def test_two_dof_is_the_exponential_tail(self, x):
+        assert sampler._chi2_sf(x, 2) == math.exp(-x / 2)
 
 
 class TestEstimateRecord:
